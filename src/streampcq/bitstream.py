@@ -9,14 +9,14 @@ enough to run at any network node.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
     BitstreamExhausted,
     EmptyInput,
     MissingField,
+    NonPositivePqs,
     TruncatedUnit,
     UnrepresentableField,
     ZeroPointCount,
@@ -85,18 +85,6 @@ class SyntaxSchema:
 
     def code_for(self, unit_class: str) -> int:
         return self.unit_codes[unit_class]
-
-    def class_for(self, code: int):
-        for name, c in self.unit_codes.items():
-            if c == code:
-                return name
-        return None
-
-    def header_bits(self, unit_class: str) -> int:
-        """Upper bound on bits a header path may consume (ue/se unbounded;
-        use a generous per-field cap of 65 bits for instrumentation)."""
-        path = self.field_paths.get(unit_class, [])
-        return sum(f.width if f.kind == "u" else 65 for f in path)
 
     # -- serialization --
 
@@ -224,11 +212,10 @@ class BitReader:
 
     def read_ue(self, field=None) -> int:
         zeros = 0
-        while True:
-            bit = self.read_bits(1, field)
-            if bit:
-                break
+        while not self.read_bits(1, field):
             zeros += 1
+            if zeros > 32:
+                raise UnrepresentableField(f"ue(v) {field!r}: more than 32 leading zero bits")
         if zeros == 0:
             return 0
         suffix = self.read_bits(zeros, field)
@@ -355,7 +342,7 @@ class BitstreamFeatures:
 
     def validate(self):
         if self.pqs <= 0:
-            raise ValueError("pqs must be positive")
+            raise NonPositivePqs(f"pqs must be positive, got {self.pqs}")
         if self.point_count <= 0:
             raise ZeroPointCount("point_count must be positive")
         if self.tbpp != self.texture_bits / self.point_count:
@@ -397,34 +384,34 @@ def extract_features(
     sidecar = sidecar or {}
     units = read_tlv_units(data, schema)
 
-    first_of: dict = {}
+    class_of = {c: name for name, c in schema.unit_codes.items()}
+    units_of: dict = {}
     texture_bits = 0
     saw_attr_data = False
     attr_code = schema.unit_codes.get("attribute_data")
     for u in units:
-        cls = schema.class_for(u.unit_type)
-        if cls is not None and cls not in first_of:
-            first_of[cls] = u
+        cls = class_of.get(u.unit_type)
+        if cls is not None:
+            units_of.setdefault(cls, []).append(u)
         if u.unit_type == attr_code:
             saw_attr_data = True
             texture_bits += 8 * len(u.payload)
 
-    def header_value(feature: str):
+    def header_values(feature: str):
+        """The target field of `feature` from each unit of its class, in stream order."""
         t = schema.targets.get(feature)
-        if t is None:
-            return None
-        unit = first_of.get(t.unit_class)
-        path = schema.field_paths.get(t.unit_class)
-        if unit is None or not path:
-            return None
-        reader = BitReader(unit.payload)
-        fields = parse_header(unit.payload, path, reader=reader)
-        if trace is not None:
-            trace.append((t.unit_class, reader.bits_consumed, 8 * len(unit.payload)))
-        return fields.get(t.field)
+        path = schema.field_paths.get(t.unit_class) if t is not None else None
+        if not path or t.field not in {f.name for f in path}:
+            return
+        for unit in units_of.get(t.unit_class, ()):
+            reader = BitReader(unit.payload)
+            fields = parse_header(unit.payload, path, reader=reader)
+            if trace is not None:
+                trace.append((t.unit_class, reader.bits_consumed, 8 * len(unit.payload)))
+            yield fields[t.field]
 
     # pqs
-    raw = header_value("pqs")
+    raw = next(header_values("pqs"), None)
     if raw is not None:
         pqs = float(Fraction(raw, schema.targets["pqs"].divisor))
     elif "pqs" in sidecar:
@@ -433,7 +420,7 @@ def extract_features(
         raise MissingField("pqs")
 
     # qp
-    qp = header_value("qp")
+    qp = next(header_values("qp"), None)
     if qp is None:
         if "qp" in sidecar:
             qp = int(sidecar["qp"])
@@ -447,10 +434,10 @@ def extract_features(
         else:
             raise MissingField("texture_bits")
 
-    # point count: slice header > sidecar > decoded cloud
-    pc = header_value("point_count")
-    if pc is not None:
-        source = "slice-header"
+    # point count: sum over slice headers > sidecar > decoded cloud
+    slices = list(header_values("point_count"))
+    if slices:
+        pc, source = sum(slices), "slice-header"
     elif "point_count" in sidecar:
         pc, source = int(sidecar["point_count"]), "sidecar"
     elif decoded_point_count is not None:
@@ -460,7 +447,9 @@ def extract_features(
     if pc == 0:
         raise ZeroPointCount("stream declares zero points")
 
-    return BitstreamFeatures.from_counts(pqs, qp, texture_bits, pc, source)
+    features = BitstreamFeatures.from_counts(pqs, qp, texture_bits, pc, source)
+    features.validate()
+    return features
 
 
 # ---------------------------------------------------------------------------

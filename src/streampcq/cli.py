@@ -13,7 +13,6 @@ import csv
 import json
 import os
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -70,18 +69,15 @@ def cmd_extract(args) -> int:
         meta = Path(args.sidecar_dir or Path(stream).parent) / (Path(stream).name + ".meta.json")
         if meta.exists():
             sidecar = json.loads(meta.read_text())
-        t0 = time.monotonic()
         try:
             feats = bs.extract_features(Path(stream).read_bytes(), schema, sidecar)
         except (StreamPcqError, OSError) as exc:
             failures.append((stream, str(exc)))
             continue
-        elapsed_us = (time.monotonic() - t0) * 1e6
         rows.append([stream, feats.pqs, feats.qp, feats.texture_bits,
-                     feats.point_count, repr(feats.tbpp), feats.point_count_source,
-                     f"{elapsed_us:.1f}"])
+                     feats.point_count, repr(feats.tbpp), feats.point_count_source])
     _write_rows(args.out, ["stream", "pqs", "qp", "texture_bits", "point_count",
-                           "tbpp", "point_count_source", "elapsed_us"], rows, args.json)
+                           "tbpp", "point_count_source"], rows, args.json)
     for stream, msg in failures:
         print(f"error: {stream}: {msg}", file=sys.stderr)
     return 1 if failures else 0
@@ -170,11 +166,9 @@ def cmd_loocv(args) -> int:
     folds, summary = ev.loocv(records, variant=args.variant)
     rows = [[held, repr(r.plcc), repr(r.srcc), repr(r.rmse)]
             for held, r in sorted(folds.items())]
-    rows.append(["mean", repr(summary["mean"]["plcc"]), repr(summary["mean"]["srcc"]),
-                 repr(summary["mean"]["rmse"])])
-    if summary["std"]:
-        rows.append(["std", repr(summary["std"]["plcc"]), repr(summary["std"]["srcc"]),
-                     repr(summary["std"]["rmse"])])
+    for stat in ("mean", "std"):
+        if summary[stat]:
+            rows.append([stat] + [repr(float(summary[stat][k])) for k in ("plcc", "srcc", "rmse")])
     _write_rows(args.out, ["fold", "plcc", "srcc", "rmse"], rows, args.json)
     for held, msg in summary["failed_folds"].items():
         print(f"error: fold {held}: {msg}", file=sys.stderr)

@@ -9,7 +9,8 @@ Convention: SRCC on raw scores, PLCC and RMSE after logistic mapping.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.special import betaincinv
@@ -252,40 +253,27 @@ def evaluate(pairs: ScorePairSet) -> EvalReport:
 # Cross-validation and random splits
 
 
-class _FeatureView:
-    __slots__ = ("pqs", "qp", "tbpp")
-
-    def __init__(self, record):
-        self.pqs, self.qp, self.tbpp = record.pqs, record.qp, record.tbpp
-
-
-def _default_trainer(records, variant):
-    params, _diag = train_full(records, variant=variant)
-    return params
+def _score(params, records):
+    """(predicted, observed) MOS of `records`, scored in one array call."""
+    col = {k: np.array([getattr(r, k) for r in records]) for k in ("pqs", "qp", "tbpp", "mos")}
+    return model_predict(params, SimpleNamespace(**col)).pmos, col["mos"]
 
 
-def _predict_records(params, records):
-    return np.array([model_predict(params, _FeatureView(r)).pmos for r in records])
-
-
-def loocv(records, trainer=None, variant: str = "eq11-literal"):
+def loocv(records, variant: str = "eq11-literal"):
     """Content-level leave-one-out; returns (per-fold dict, summary dict)."""
     records = list(records)
     contents = sorted({r.content for r in records})
     if len(contents) < 2:
         raise DegenerateDesign("leave-one-out needs at least two contents")
-    trainer = trainer or _default_trainer
     folds = {}
     failures = {}
     for held in contents:
         train = [r for r in records if r.content != held]
         test = [r for r in records if r.content == held]
         try:
-            params = trainer(train, variant)
-            preds = _predict_records(params, test)
-            pairs = ScorePairSet(preds, np.array([r.mos for r in test]),
-                                 contents=tuple(r.content for r in test))
-            folds[held] = evaluate(pairs)
+            params, _diag = train_full(train, variant=variant)
+            preds, mos = _score(params, test)
+            folds[held] = evaluate(ScorePairSet(preds, mos, contents=(held,) * len(test)))
         except Exception as exc:  # fold failure is reported, run continues
             failures[held] = str(exc)
     if not folds:
@@ -301,8 +289,7 @@ def loocv(records, trainer=None, variant: str = "eq11-literal"):
 
 
 def random_split_eval(records, n_splits: int = 1000, n_train: int = 10,
-                      seed: int | None = None, trainer=None,
-                      variant: str = "eq11-literal"):
+                      seed: int | None = None, variant: str = "eq11-literal"):
     """Content-level random train/validation splits, fully seeded.
 
     Returns (list of (plcc, srcc, rmse) per split, summary dict).  The
@@ -315,7 +302,6 @@ def random_split_eval(records, n_splits: int = 1000, n_train: int = 10,
     if len(contents) < 2:
         raise DegenerateDesign("need at least two contents to split")
     n_train = min(n_train, len(contents) - 1)
-    trainer = trainer or _default_trainer
     rng = np.random.default_rng(seed)
     results = []
     for _ in range(n_splits):
@@ -323,10 +309,8 @@ def random_split_eval(records, n_splits: int = 1000, n_train: int = 10,
         train_contents = {contents[i] for i in chosen}
         train = [r for r in records if r.content in train_contents]
         test = [r for r in records if r.content not in train_contents]
-        params = trainer(train, variant)
-        preds = _predict_records(params, test)
-        pairs = ScorePairSet(preds, np.array([r.mos for r in test]))
-        rep = evaluate(pairs)
+        params, _diag = train_full(train, variant=variant)
+        rep = evaluate(ScorePairSet(*_score(params, test)))
         results.append((rep.plcc, rep.srcc, rep.rmse))
     if results:
         arr = np.array(results)

@@ -9,12 +9,15 @@ are available behind `variant`:
 * ``alpha-times-tqs``— pmos = alpha(tc_est) * tqs(qp) + f1/pqs + f2
 
 Both share the texture-complexity estimate tc_est = H(qp)*tbpp + J(qp).
+Every function takes scalars or numpy arrays alike.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, asdict
+
+import numpy as np
 
 from .errors import NonPositivePqs
 
@@ -116,13 +119,14 @@ def pmos_t(p: ModelParams, qp, tbpp) -> float:
 
 def pmos_g(p: ModelParams, pqs) -> float:
     """Geometry term, hyperbolic in the position quantization scale."""
-    if pqs <= 0:
+    if np.any(np.asarray(pqs) <= 0):
         raise NonPositivePqs(f"pqs must be positive, got {pqs}")
     return p.f1 / pqs + p.f2
 
 
 def predict(p: ModelParams, features) -> QualityPrediction:
-    """Full model evaluation; `features` needs .pqs, .qp and .tbpp."""
+    """Full model evaluation; `features` needs .pqs, .qp and .tbpp, either
+    scalars or equal-length arrays (one prediction per element)."""
     qp, tbpp, pqs = features.qp, features.tbpp, features.pqs
     tc = estimate_tc(p, qp, tbpp)
     alpha = alpha_from_tc(p, tc)

@@ -184,14 +184,13 @@ def compute_tc(pc: PointCloud, block_edge: int = 4, luma=None) -> TcResult:
     luma = luma[order]
 
     change = np.any(blocks[1:] != blocks[:-1], axis=1)
-    starts = np.concatenate(([0], np.nonzero(change)[0] + 1, [len(blocks)]))
-
-    stds = []
-    for i in range(len(starts) - 1):
-        seg = luma[starts[i] : starts[i + 1]]
-        if len(seg) >= 2:
-            stds.append(float(np.std(seg)))  # population std
-    if not stds:
+    starts = np.concatenate(([0], np.nonzero(change)[0] + 1))
+    counts = np.diff(np.append(starts, len(blocks)))
+    # per-block population variance, as np.std computes it for one block
+    dev = luma - np.repeat(np.add.reduceat(luma, starts) / counts, counts)
+    var = np.add.reduceat(dev * dev, starts) / counts
+    stds = np.sqrt(var[counts >= 2])
+    if not stds.size:
         raise NoEligibleBlocks("no block contains two or more points")
     return TcResult(tc=float(math.fsum(stds) / len(stds)),
                     blocks_used=len(stds), block_edge=block_edge)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,38 +104,24 @@ def screen_outliers(ratings: np.ndarray) -> set:
     one-sided (|P-Q|/(P+Q) < 0.3).  Returns the rejected column indices.
     """
     ratings = np.asarray(ratings, dtype=float)
-    n_stim, n_subj = ratings.shape
-    if n_subj < 3:
+    if ratings.shape[1] < 3:
         return set()
-    p = np.zeros(n_subj, dtype=int)
-    q = np.zeros(n_subj, dtype=int)
-    rated = np.zeros(n_subj, dtype=int)
-    for m in range(n_stim):
-        row = ratings[m]
-        mask = ~np.isnan(row)
-        vals = row[mask]
-        if len(vals) < 2:
-            continue
-        mu = vals.mean()
-        sd = vals.std(ddof=1)
-        m2 = np.mean((vals - mu) ** 2)
-        beta2 = np.mean((vals - mu) ** 4) / (m2 * m2) if m2 > 0 else 0.0
-        k = 2.0 if 2.0 <= beta2 <= 4.0 else math.sqrt(20.0)
-        hi, lo = mu + k * sd, mu - k * sd
-        for i in np.nonzero(mask)[0]:
-            rated[i] += 1
-            if row[i] > hi:
-                p[i] += 1
-            elif row[i] < lo:
-                q[i] += 1
-    rejected = set()
-    for i in range(n_subj):
-        total = p[i] + q[i]
-        if rated[i] == 0 or total == 0:
-            continue
-        if total / rated[i] > 0.05 and abs(p[i] - q[i]) / total < 0.3:
-            rejected.add(i)
-    return rejected
+    rated = ~np.isnan(ratings)
+    n = rated.sum(axis=1)
+    rated &= (n >= 2)[:, None]  # a stimulus needs two ratings to be screened
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mu = np.nansum(ratings, axis=1) / n
+        dev = ratings - mu[:, None]
+        ss = np.nansum(dev ** 2, axis=1)
+        m2 = ss / n
+        sd = np.sqrt(ss / (n - 1))
+        beta2 = np.where(m2 > 0, np.nansum(dev ** 4, axis=1) / n / (m2 * m2), 0.0)
+        k = np.where((2.0 <= beta2) & (beta2 <= 4.0), 2.0, math.sqrt(20.0))
+        p = (rated & (ratings > (mu + k * sd)[:, None])).sum(axis=0)
+        q = (rated & (ratings < (mu - k * sd)[:, None])).sum(axis=0)
+        total = p + q
+        reject = (total / rated.sum(axis=0) > 0.05) & (np.abs(p - q) / total < 0.3)
+    return set(np.nonzero(reject)[0].tolist())
 
 
 def compute_mos(matrix: SubjectiveMatrix) -> MosTable:

@@ -8,6 +8,7 @@ from streampcq.errors import (
     BitstreamExhausted,
     EmptyInput,
     MissingField,
+    NonPositivePqs,
     TruncatedUnit,
     UnrepresentableField,
     ZeroPointCount,
@@ -85,6 +86,12 @@ def test_ue_roundtrip_logarithmic(exp):
         w = bs.BitWriter()
         w.write_ue(k)
         assert bs.BitReader(w.getvalue()).read_ue() == k
+
+
+def test_read_ue_caps_leading_zeros():
+    assert bs.BitReader(bits("0" * 32 + "1" + "1" * 32)).read_ue() == 2**33 - 2
+    with pytest.raises(UnrepresentableField):
+        bs.BitReader(bytes(20)).read_ue("slice_point_count")  # 160 zero bits
 
 
 @given(st.integers(min_value=-10000, max_value=10000))
@@ -174,6 +181,46 @@ def test_unknown_unit_types_skipped():
     data = bs.synthesize_bitstream(feats(0.5, 28, 1600, 50), SCHEMA)
     noisy = bytes.fromhex("63" + "00000002" + "BEEF") + data
     assert bs.extract_features(noisy, SCHEMA) == bs.extract_features(data, SCHEMA)
+
+
+def header(unit_class, **values):
+    w = bs.BitWriter()
+    for f in SCHEMA.field_paths[unit_class]:
+        if f.kind == "u":
+            w.write_bits(values.get(f.name, 0), f.width)
+        else:
+            w.write_ue(values.get(f.name, 0))
+    return w.getvalue()
+
+
+def test_two_slice_point_count_is_summed():
+    code = SCHEMA.code_for
+    data = bs.write_tlv_units([
+        bs.TlvUnit(code("sequence_params"), header("sequence_params", geom_scale_num=2)),
+        bs.TlvUnit(code("attribute_params"), header("attribute_params", attr_initial_qp=34)),
+        bs.TlvUnit(code("geometry_data"), header("geometry_data", slice_id=0,
+                                                 slice_point_count=1000) + bytes(4)),
+        bs.TlvUnit(code("attribute_data"), bytes(100)),
+        bs.TlvUnit(code("geometry_data"), header("geometry_data", slice_id=1,
+                                                 slice_point_count=1000) + bytes(4)),
+        bs.TlvUnit(code("attribute_data"), bytes(150)),
+    ], SCHEMA)
+    got = bs.extract_features(data, SCHEMA)
+    assert got == feats(0.25, 34, 2000, 2000)
+
+
+def test_zero_geometry_scale_rejected():
+    data = bs.write_tlv_units([
+        bs.TlvUnit(SCHEMA.code_for("sequence_params"), header("sequence_params")),
+        bs.TlvUnit(SCHEMA.code_for("attribute_params"), header("attribute_params")),
+        bs.TlvUnit(SCHEMA.code_for("geometry_data"),
+                   header("geometry_data", slice_point_count=10)),
+        bs.TlvUnit(SCHEMA.code_for("attribute_data"), bytes(10)),
+    ], SCHEMA)
+    with pytest.raises(NonPositivePqs):
+        bs.extract_features(data, SCHEMA)
+    with pytest.raises(NonPositivePqs):
+        bs.BitstreamFeatures(pqs=0.0, qp=22, texture_bits=8, point_count=1, tbpp=8.0).validate()
 
 
 def test_unrepresentable_pqs():

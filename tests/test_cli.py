@@ -37,7 +37,9 @@ def test_synth_extract_roundtrip(tmp_path):
     assert int(row["qp"]) == 34
     assert float(row["tbpp"]) == 0.5
     assert row["point_count_source"] == "slice-header"
-    assert float(row["elapsed_us"]) > 0
+    again = tmp_path / "again.csv"
+    assert run(["extract", stream, "--out", again]) == 0
+    assert again.read_bytes() == out.read_bytes()
 
 
 def test_extract_sidecar_only_point_count(tmp_path):
@@ -63,6 +65,24 @@ def test_extract_missing_schema_usage_error(tmp_path, capsys):
     with pytest.raises(SystemExit) as ei:
         run(["extract", stream, "--schema", tmp_path / "nope.json"])
     assert ei.value.code == 2
+
+
+def test_extract_zero_geometry_scale_is_an_error(tmp_path, capsys):
+    from streampcq import bitstream as bs
+    schema = bs.default_schema()
+    stream = tmp_path / "zero.bin"
+    run(["synth", "--pqs", 1, "--qp", 22, "--texture-bits", 800,
+         "--points", 100, "--out", stream])
+    seq = bs.BitWriter()
+    seq.write_bits(0, 8)  # profile_idc
+    seq.write_bits(0, 8)  # level_idc
+    seq.write_ue(0)       # geom_scale_num
+    units = [bs.TlvUnit(u.unit_type, seq.getvalue())
+             if u.unit_type == schema.code_for("sequence_params") else u
+             for u in bs.read_tlv_units(stream.read_bytes(), schema)]
+    stream.write_bytes(bs.write_tlv_units(units, schema))
+    assert run(["extract", stream, "--out", tmp_path / "o.csv"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {stream}: pqs must be positive")
 
 
 def test_extract_bad_file_nonzero_exit(tmp_path):
@@ -151,6 +171,10 @@ def test_loocv_command(tmp_path):
     assert len(folds) == 4
     for r in folds:
         assert float(r["plcc"]) == pytest.approx(1.0, abs=1e-9)
+    summary = [r for r in rows if r["fold"] in ("mean", "std")]
+    assert [r["fold"] for r in summary] == ["mean", "std"]
+    for r in summary:
+        assert all(np.isfinite(float(r[key])) for key in ("plcc", "srcc", "rmse"))
 
 
 def test_splits_command_bit_reproducible(tmp_path):

@@ -1,5 +1,7 @@
 import itertools
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from streampcq.bitstream import BitstreamFeatures
@@ -66,6 +68,24 @@ def test_pmos_g():
     assert pmos_g(P, 0.125) == pytest.approx(66.5803, abs=1e-4)
     with pytest.raises(NonPositivePqs):
         pmos_g(P, 0.0)
+
+
+@pytest.mark.parametrize("variant", ["eq11-literal", "alpha-times-tqs"])
+def test_array_predict_matches_scalar_bitwise(variant):
+    p = ModelParams(variant=variant)
+    grid = list(itertools.product([0.125, 0.25, 0.5, 1.0], [22, 28, 34, 40, 46]))
+    tbpp = np.linspace(0.05, 2.0, len(grid))
+    cols = SimpleNamespace(pqs=np.array([g[0] for g in grid]),
+                           qp=np.array([g[1] for g in grid]), tbpp=tbpp)
+    arr = predict(p, cols)
+    for i, (pqs, qp) in enumerate(grid):
+        one = predict(p, feats(pqs, qp, float(tbpp[i])))
+        assert isinstance(one.pmos, float)
+        for name in ("pmos", "pmos_t", "pmos_g", "tc_est", "alpha", "tqs"):
+            assert getattr(arr, name)[i] == getattr(one, name)
+    cols.pqs[7] = 0.0
+    with pytest.raises(NonPositivePqs):
+        predict(p, cols)
 
 
 def test_predict_literal():

@@ -165,3 +165,18 @@ def test_tc_within_block_permutation(random_cloud):
     permuted = PointCloud(random_cloud.positions[perm], random_cloud.colors[perm])
     assert compute_tc(permuted, 4).tc == pytest.approx(
         compute_tc(random_cloud, 4).tc, rel=1e-12)
+
+
+@pytest.mark.parametrize("block_edge", [1, 2, 3, 4, 8])
+def test_tc_matches_per_block_std_loop(block_edge):
+    rng = np.random.default_rng(block_edge)
+    pc = PointCloud(rng.integers(0, 40, size=(20000, 3)).astype(np.int32),
+                    rng.integers(0, 256, size=(20000, 3)).astype(np.uint8))
+    luma = rgb_to_luma(pc.colors[:, 0], pc.colors[:, 1], pc.colors[:, 2])
+    blocks = {}
+    for key, y in zip(map(tuple, pc.positions // block_edge), luma):
+        blocks.setdefault(key, []).append(y)
+    stds = [np.std(blocks[k]) for k in sorted(blocks) if len(blocks[k]) >= 2]
+    res = compute_tc(pc, block_edge)
+    assert res.blocks_used == len(stds)
+    assert res.tc == pytest.approx(sum(stds) / len(stds), rel=1e-13)

@@ -85,6 +85,61 @@ def test_screen_alternating_outlier_rejected():
     assert 0 in rejected
 
 
+def test_screen_hand_computed_panel_with_gaps():
+    # 41 stimuli x 10 subjects; every other row is unanimous (m2 == 0, beta2 = 0)
+    ratings = np.repeat(10.0 + 2.0 * np.arange(41)[:, None], 10, axis=1)
+    # ratings - 50 = [2, 1, 1, 1, 0 x 6]: mu 0.5, sd sqrt(0.5), beta2 = 2.78,
+    # so k = 2 and hi = 1.914 < 2; subject 0 is above (P), row 1 mirrors it (Q)
+    ratings[0] = [52, 51, 51, 51, 50, 50, 50, 50, 50, 50]
+    ratings[1] = [48, 49, 49, 49, 50, 50, 50, 50, 50, 50]
+    # subject 1 is above twice, never below: one-sided, so kept
+    ratings[2] = [50, 52, 51, 51, 51, 50, 50, 50, 50, 50]
+    ratings[3] = [50, 52, 51, 51, 51, 50, 50, 50, 50, 50]
+    ratings[20:, 1] = np.nan
+    ratings[39, 0] = np.nan
+    # a single rating is not screened, so subject 0 has rated 39 stimuli:
+    # 2/39 > 5% and |P - Q| = 0, rejected
+    ratings[40, 1:] = np.nan
+    assert screen_outliers(ratings) == {0}
+    # with a second rating, stimulus 40 counts and 2/40 is not above 5%
+    ratings[40, 1] = ratings[40, 0]
+    assert screen_outliers(ratings) == set()
+    assert screen_outliers(ratings[:, :2]) == set()
+
+
+def screen_outliers_loop(ratings):
+    """Stimulus-by-stimulus BT.500 screening, the reference for the array form."""
+    n_stim, n_subj = ratings.shape
+    p, q, rated = np.zeros(n_subj), np.zeros(n_subj), np.zeros(n_subj)
+    for row in ratings:
+        vals = row[~np.isnan(row)]
+        if n_subj < 3 or len(vals) < 2:
+            continue
+        mu, sd = vals.mean(), vals.std(ddof=1)
+        m2 = np.mean((vals - mu) ** 2)
+        beta2 = np.mean((vals - mu) ** 4) / (m2 * m2) if m2 > 0 else 0.0
+        k = 2.0 if 2.0 <= beta2 <= 4.0 else np.sqrt(20.0)
+        for i in np.nonzero(~np.isnan(row))[0]:
+            rated[i] += 1
+            p[i] += row[i] > mu + k * sd
+            q[i] += row[i] < mu - k * sd
+    return {i for i in range(n_subj) if p[i] + q[i] and rated[i]
+            and (p[i] + q[i]) / rated[i] > 0.05 and abs(p[i] - q[i]) / (p[i] + q[i]) < 0.3}
+
+
+def test_screen_matches_stimulus_loop():
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        ns, nj = rng.integers(2, 40), rng.integers(2, 25)
+        ratings = rng.normal(50, 10, size=(ns, nj))
+        far = rng.random((ns, nj)) < 0.15
+        ratings[far] += rng.choice([-60.0, 60.0], size=far.sum())
+        ratings[rng.random((ns, nj)) < 0.2] = np.nan
+        if rng.random() < 0.3:
+            ratings = np.round(ratings / 20) * 20  # ties and m2 == 0 rows
+        assert screen_outliers(ratings) == screen_outliers_loop(ratings)
+
+
 def test_compute_mos_identical_subjects():
     base = np.linspace(5, 95, 10)
     m = SubjectiveMatrix(np.stack([base, base], axis=1))
