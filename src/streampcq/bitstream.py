@@ -250,10 +250,9 @@ class BitWriter:
         k = 2 * value - 1 if value > 0 else -2 * value
         self.write_ue(k)
 
-    def getvalue(self, fill_bit: int = 0) -> bytes:
-        bits = list(self._bits)
-        while len(bits) % 8:
-            bits.append(fill_bit)
+    def getvalue(self) -> bytes:
+        """The bits written so far, zero-padded to a whole byte."""
+        bits = self._bits + [0] * (-len(self._bits) % 8)
         out = bytearray()
         for i in range(0, len(bits), 8):
             b = 0
@@ -386,16 +385,10 @@ def extract_features(
 
     class_of = {c: name for name, c in schema.unit_codes.items()}
     units_of: dict = {}
-    texture_bits = 0
-    saw_attr_data = False
-    attr_code = schema.unit_codes.get("attribute_data")
     for u in units:
         cls = class_of.get(u.unit_type)
         if cls is not None:
             units_of.setdefault(cls, []).append(u)
-        if u.unit_type == attr_code:
-            saw_attr_data = True
-            texture_bits += 8 * len(u.payload)
 
     def header_values(feature: str):
         """The target field of `feature` from each unit of its class, in stream order."""
@@ -410,40 +403,26 @@ def extract_features(
                 trace.append((t.unit_class, reader.bits_consumed, 8 * len(unit.payload)))
             yield fields[t.field]
 
-    # pqs
+    def resolve(name, in_stream, cast, decoded=None):
+        """(value, source): the stream's value unless None, else the sidecar's,
+        else `decoded`, else MissingField(name)."""
+        if in_stream is not None:
+            return in_stream, "slice-header"
+        if name in sidecar:
+            return cast(sidecar[name]), "sidecar"
+        if decoded is not None:
+            return cast(decoded), "decoded-cloud"
+        raise MissingField(name)
+
     raw = next(header_values("pqs"), None)
-    if raw is not None:
-        pqs = float(Fraction(raw, schema.targets["pqs"].divisor))
-    elif "pqs" in sidecar:
-        pqs = float(sidecar["pqs"])
-    else:
-        raise MissingField("pqs")
-
-    # qp
-    qp = next(header_values("qp"), None)
-    if qp is None:
-        if "qp" in sidecar:
-            qp = int(sidecar["qp"])
-        else:
-            raise MissingField("qp")
-
-    # texture bits
-    if not saw_attr_data:
-        if "texture_bits" in sidecar:
-            texture_bits = int(sidecar["texture_bits"])
-        else:
-            raise MissingField("texture_bits")
-
-    # point count: sum over slice headers > sidecar > decoded cloud
-    slices = list(header_values("point_count"))
-    if slices:
-        pc, source = sum(slices), "slice-header"
-    elif "point_count" in sidecar:
-        pc, source = int(sidecar["point_count"]), "sidecar"
-    elif decoded_point_count is not None:
-        pc, source = int(decoded_point_count), "decoded-cloud"
-    else:
-        raise MissingField("point_count")
+    pqs, _ = resolve("pqs", None if raw is None else float(
+        Fraction(raw, schema.targets["pqs"].divisor)), float)
+    qp, _ = resolve("qp", next(header_values("qp"), None), int)
+    attr_bits = [8 * len(u.payload) for u in units_of.get("attribute_data", ())]
+    texture_bits, _ = resolve("texture_bits", sum(attr_bits) if attr_bits else None, int)
+    slices = list(header_values("point_count"))  # one count per slice
+    pc, source = resolve("point_count", sum(slices) if slices else None, int,
+                         decoded_point_count)
     if pc == 0:
         raise ZeroPointCount("stream declares zero points")
 
@@ -455,11 +434,12 @@ def extract_features(
 # ---------------------------------------------------------------------------
 # Synthetic writer (test fixtures)
 
+_PAYLOAD_FILL = b"\xab"  # filler byte of every payload body
+
 
 def synthesize_bitstream(
     features: BitstreamFeatures,
     schema: SyntaxSchema | None = None,
-    payload_fill: int = 0xAB,
 ) -> bytes:
     """Write a minimal bitstream whose extracted features equal `features`.
 
@@ -508,16 +488,16 @@ def synthesize_bitstream(
         TlvUnit(schema.code_for("attribute_params"), build_header("attribute_params")),
         TlvUnit(
             schema.code_for("geometry_data"),
-            build_header("geometry_data") + bytes([payload_fill]) * 4,
+            build_header("geometry_data") + _PAYLOAD_FILL * 4,
         ),
     ]
 
     nbytes = features.texture_bits // 8
     attr_code = schema.code_for("attribute_data")
     if nbytes >= 2:  # split across two units so extraction sums lengths
-        units.append(TlvUnit(attr_code, bytes([payload_fill]) * (nbytes // 2)))
-        units.append(TlvUnit(attr_code, bytes([payload_fill]) * (nbytes - nbytes // 2)))
+        units.append(TlvUnit(attr_code, _PAYLOAD_FILL * (nbytes // 2)))
+        units.append(TlvUnit(attr_code, _PAYLOAD_FILL * (nbytes - nbytes // 2)))
     else:
-        units.append(TlvUnit(attr_code, bytes([payload_fill]) * nbytes))
+        units.append(TlvUnit(attr_code, _PAYLOAD_FILL * nbytes))
 
     return write_tlv_units(units, schema)

@@ -20,6 +20,7 @@ from .errors import DegenerateDesign
 from .model import ModelParams, tqs_from_qp
 
 __all__ = [
+    "TRAINING_VARIANT",
     "TrainingRecord",
     "FitDiagnostics",
     "fit_line",
@@ -31,6 +32,10 @@ __all__ = [
     "train_full",
     "read_training_csv",
 ]
+
+# Default model variant of everything that trains: stage A fits
+# mos = alpha*tqs + beta, which is the alpha-times-tqs prediction.
+TRAINING_VARIANT = "alpha-times-tqs"
 
 
 @dataclass(frozen=True)
@@ -97,16 +102,42 @@ def fit_quadratic(xs, ys):
     return float(coef[0]), float(coef[1]), float(coef[2])
 
 
-def _canon(rows):
-    """Canonical within-group order so fits are permutation-invariant."""
-    return sorted(rows, key=lambda r: (r.content, r.pqs, r.qp, r.tbpp, r.mos))
-
-
 def _rss_line(xs, ys, slope, intercept):
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     r = ys - (slope * xs + intercept)
     return float(r @ r)
+
+
+def _fit_groups(stage, records, group_of, x_of, y_of, diagnostics):
+    """fit_line per group of `records`; returns {group: (slope, intercept)}.
+
+    Records are sorted once by a canonical key, so every group's rows come
+    in the same order whatever the input order and the fits are
+    permutation-invariant.  Groups are fitted in sorted key order;
+    degenerate ones are skipped and reported in `diagnostics`, which also
+    gets the stage's RSS and sample count over the fitted groups.
+    """
+    groups: dict = {}
+    for r in sorted(records, key=lambda r: (r.content, r.pqs, r.qp, r.tbpp, r.mos)):
+        groups.setdefault(group_of(r), []).append(r)
+    out = {}
+    rss = 0.0
+    n = 0
+    for key in sorted(groups):
+        xs = [x_of(r) for r in groups[key]]
+        ys = [y_of(r) for r in groups[key]]
+        try:
+            slope, intercept = fit_line(xs, ys)
+        except DegenerateDesign as exc:
+            diagnostics.skipped_groups.append((stage, key, str(exc)))
+            continue
+        out[key] = (slope, intercept)
+        rss += _rss_line(xs, ys, slope, intercept)
+        n += len(xs)
+    diagnostics.stage_rss[stage] = rss
+    diagnostics.stage_samples[stage] = n
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -119,28 +150,9 @@ def stage_a_mos_vs_tqs(records, diagnostics: FitDiagnostics | None = None):
     Returns {(content, pqs): (alpha_obs, beta_obs)}; degenerate groups are
     skipped and reported in diagnostics.
     """
-    groups: dict = {}
-    for r in records:
-        groups.setdefault((r.content, r.pqs), []).append(r)
-    out = {}
-    rss = 0.0
-    n = 0
-    for key in sorted(groups):
-        rows = _canon(groups[key])
-        xs = [tqs_from_qp(r.qp) for r in rows]
-        ys = [r.mos for r in rows]
-        try:
-            slope, intercept = fit_line(xs, ys)
-        except DegenerateDesign as exc:
-            if diagnostics is not None:
-                diagnostics.skipped_groups.append(("A", key, str(exc)))
-            continue
-        out[key] = (slope, intercept)
-        rss += _rss_line(xs, ys, slope, intercept)
-        n += len(rows)
-    if diagnostics is not None:
-        diagnostics.stage_rss["A"] = rss
-        diagnostics.stage_samples["A"] = n
+    out = _fit_groups("A", records, lambda r: (r.content, r.pqs),
+                      lambda r: tqs_from_qp(r.qp), lambda r: r.mos,
+                      diagnostics or FitDiagnostics())
     if not out:
         raise DegenerateDesign("no (content, pqs) group could be fitted")
     return out
@@ -148,54 +160,37 @@ def stage_a_mos_vs_tqs(records, diagnostics: FitDiagnostics | None = None):
 
 def stage_b_tc_model(records, diagnostics: FitDiagnostics | None = None):
     """Fit the tc ~ H(qp)*tbpp + J(qp) chain; returns (a1, a2, a3, b1, b2)."""
-    cells: dict = {}
-    for r in records:
-        cells.setdefault((r.pqs, r.qp), []).append(r)
-    h_pts, j_pts = [], []  # (qp, H_obs), (qp, J_obs) pooled across pqs
-    rss = 0.0
-    n = 0
-    for key in sorted(cells):
-        rows = _canon(cells[key])
-        xs = [r.tbpp for r in rows]
-        ys = [r.tc for r in rows]
-        try:
-            slope, intercept = fit_line(xs, ys)
-        except DegenerateDesign as exc:
-            if diagnostics is not None:
-                diagnostics.skipped_groups.append(("B", key, str(exc)))
-            continue
-        h_pts.append((key[1], slope))
-        j_pts.append((key[1], intercept))
-        rss += _rss_line(xs, ys, slope, intercept)
-        n += len(rows)
-    if len({qp for qp, _ in h_pts}) < 3:
+    diagnostics = diagnostics or FitDiagnostics()
+    # (H_obs, J_obs) per (pqs, qp) cell, pooled across pqs below
+    cells = _fit_groups("B", records, lambda r: (r.pqs, r.qp),
+                        lambda r: r.tbpp, lambda r: r.tc, diagnostics)
+    qps = [qp for _pqs, qp in cells]
+    if len(set(qps)) < 3:
         raise DegenerateDesign("need cells at three or more distinct qp values")
-    a1, a2, a3 = fit_quadratic([q for q, _ in h_pts], [h for _, h in h_pts])
-    b1, b2 = fit_line([q for q, _ in j_pts], [j for _, j in j_pts])
-    if diagnostics is not None:
-        diagnostics.stage_rss["B"] = rss
-        diagnostics.stage_samples["B"] = n
-        diagnostics.coefficients["B"] = (a1, a2, a3, b1, b2)
+    a1, a2, a3 = fit_quadratic(qps, [h for h, _j in cells.values()])
+    b1, b2 = fit_line(qps, [j for _h, j in cells.values()])
+    diagnostics.coefficients["B"] = (a1, a2, a3, b1, b2)
     return a1, a2, a3, b1, b2
 
 
 def stage_c_alpha_tc(alpha_by_group, tc_by_content, diagnostics: FitDiagnostics | None = None):
     """Fit alpha_obs = c*tc + d, pooled over every pqs level."""
+    diagnostics = diagnostics or FitDiagnostics()
     xs, ys = [], []
     for (content, _pqs), (alpha_obs, _beta) in sorted(alpha_by_group.items()):
         if content in tc_by_content:
             xs.append(tc_by_content[content])
             ys.append(alpha_obs)
     c, d = fit_line(xs, ys)
-    if diagnostics is not None:
-        diagnostics.stage_rss["C"] = _rss_line(xs, ys, c, d)
-        diagnostics.stage_samples["C"] = len(xs)
-        diagnostics.coefficients["C"] = (c, d)
+    diagnostics.stage_rss["C"] = _rss_line(xs, ys, c, d)
+    diagnostics.stage_samples["C"] = len(xs)
+    diagnostics.coefficients["C"] = (c, d)
     return c, d
 
 
 def stage_d_beta_pqs(alpha_by_group, diagnostics: FitDiagnostics | None = None):
     """Average stage-A intercepts per pqs level, then fit on 1/pqs."""
+    diagnostics = diagnostics or FitDiagnostics()
     by_pqs: dict = {}
     for (_content, pqs), (_alpha, beta_obs) in sorted(alpha_by_group.items()):
         by_pqs.setdefault(pqs, []).append(beta_obs)
@@ -205,14 +200,13 @@ def stage_d_beta_pqs(alpha_by_group, diagnostics: FitDiagnostics | None = None):
     xs = [1.0 / p for p in levels]
     ys = [math.fsum(by_pqs[p]) / len(by_pqs[p]) for p in levels]
     f1, f2 = fit_line(xs, ys)
-    if diagnostics is not None:
-        diagnostics.stage_rss["D"] = _rss_line(xs, ys, f1, f2)
-        diagnostics.stage_samples["D"] = len(xs)
-        diagnostics.coefficients["D"] = (f1, f2)
+    diagnostics.stage_rss["D"] = _rss_line(xs, ys, f1, f2)
+    diagnostics.stage_samples["D"] = len(xs)
+    diagnostics.coefficients["D"] = (f1, f2)
     return f1, f2
 
 
-def train_full(records, variant: str = "eq11-literal"):
+def train_full(records, variant: str = TRAINING_VARIANT):
     """Run stages A through D; returns (ModelParams, FitDiagnostics)."""
     records = list(records)
     if len({r.pqs for r in records}) < 2 or len({r.qp for r in records}) < 2:

@@ -234,65 +234,55 @@ def build_parser() -> argparse.ArgumentParser:
                                  description="Bitstream-layer point-cloud quality toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("extract", help="extract coding features from bitstreams")
+    # options shared by every subcommand that writes a result table
+    table = argparse.ArgumentParser(add_help=False)
+    table.add_argument("--out")
+    table.add_argument("--json", action="store_true")
+    # input and model variant shared by every subcommand that trains
+    training = argparse.ArgumentParser(add_help=False)
+    training.add_argument("training")
+    training.add_argument("--variant", choices=VARIANTS, default=cal.TRAINING_VARIANT)
+
+    p = sub.add_parser("extract", parents=[table], help="extract coding features from bitstreams")
     p.add_argument("streams", nargs="+")
     p.add_argument("--schema")
     p.add_argument("--sidecar-dir")
-    p.add_argument("--out")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_extract)
 
-    p = sub.add_parser("score", help="predict quality from a feature CSV")
+    p = sub.add_parser("score", parents=[table], help="predict quality from a feature CSV")
     p.add_argument("features")
     p.add_argument("--params")
     p.add_argument("--variant", choices=VARIANTS)
     p.add_argument("--clamp", action="store_true")
-    p.add_argument("--out")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_score)
 
-    p = sub.add_parser("tc", help="texture complexity of original clouds")
+    p = sub.add_parser("tc", parents=[table], help="texture complexity of original clouds")
     p.add_argument("clouds", nargs="+")
     p.add_argument("--block-edge", type=int, default=4)
-    p.add_argument("--out")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_tc)
 
-    p = sub.add_parser("train", help="re-derive model coefficients")
-    p.add_argument("training")
+    p = sub.add_parser("train", parents=[training], help="re-derive model coefficients")
     p.add_argument("--out-params", required=True)
-    p.add_argument("--variant", choices=VARIANTS, default="eq11-literal")
     p.add_argument("--diagnostics")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="PLCC/SRCC/RMSE against MOS")
+    p = sub.add_parser("eval", parents=[table], help="PLCC/SRCC/RMSE against MOS")
     p.add_argument("scores")
-    p.add_argument("--out")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("loocv", help="content-level leave-one-out")
-    p.add_argument("training")
-    p.add_argument("--variant", choices=VARIANTS, default="eq11-literal")
-    p.add_argument("--out")
-    p.add_argument("--json", action="store_true")
+    p = sub.add_parser("loocv", parents=[training, table], help="content-level leave-one-out")
     p.set_defaults(func=cmd_loocv)
 
-    p = sub.add_parser("splits", help="seeded random train/validation splits")
-    p.add_argument("training")
+    p = sub.add_parser("splits", parents=[training, table],
+                       help="seeded random train/validation splits")
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--train-contents", type=int, default=10)
-    p.add_argument("--variant", choices=VARIANTS, default="eq11-literal")
-    p.add_argument("--out")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_splits)
 
-    p = sub.add_parser("significance", help="pairwise F-test matrix")
+    p = sub.add_parser("significance", parents=[table], help="pairwise F-test matrix")
     p.add_argument("residuals", nargs="+")
     p.add_argument("--level", type=float, default=0.95)
-    p.add_argument("--out")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_significance)
 
     p = sub.add_parser("synth", help="write a synthetic fixture bitstream")

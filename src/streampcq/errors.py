@@ -74,7 +74,3 @@ class ZeroVarianceSubject(StreamPcqError):
 
 class DegenerateRange(StreamPcqError):
     pass
-
-
-class NonConvergence(StreamPcqError):
-    pass

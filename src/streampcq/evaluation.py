@@ -15,8 +15,8 @@ from types import SimpleNamespace
 import numpy as np
 from scipy.special import betaincinv
 
-from .errors import DegenerateDesign, ZeroVariance
-from .calibration import train_full
+from .errors import DegenerateDesign, StreamPcqError, ZeroVariance
+from .calibration import TRAINING_VARIANT, train_full
 from .model import predict as model_predict
 
 __all__ = [
@@ -124,6 +124,11 @@ def rmse(x, y) -> float:
 # Logistic mapping
 
 
+# Levenberg-Marquardt stopping rule: iteration cap and relative RSS gain
+_MAX_ITER = 2000
+_TOL = 1e-10
+
+
 def _logistic(params, s):
     b1, b2, b3, b4 = params
     u = (s - b3) / abs(b4)
@@ -135,17 +140,15 @@ def _logistic(params, s):
     return pred, sig, u
 
 
-def _lm_minimize(params, s, y, max_iter, tol):
+def _lm_minimize(params, s, y, rss_floor):
     """Damped Gauss-Newton on the 4-parameter logistic RSS."""
     params = np.array(params, dtype=float)
     pred, _, _ = _logistic(params, s)
     r = pred - y
     rss = float(r @ r)
-    # absolute floor: RSS this far below the data scale is a perfect fit
-    rss_floor = 1e-20 * len(y) * (float(np.var(y)) + 1.0)
     lam = 1e-3
     converged = False
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         if rss <= rss_floor:
             converged = True
             break
@@ -183,7 +186,7 @@ def _lm_minimize(params, s, y, max_iter, tol):
                 params, rss = cand, cand_rss
                 lam = max(lam / 3.0, 1e-12)
                 improved = True
-                if rel < tol:
+                if rel < _TOL:
                     converged = True
                 break
             lam *= 3.0
@@ -194,7 +197,7 @@ def _lm_minimize(params, s, y, max_iter, tol):
     return params, rss, converged
 
 
-def fit_logistic(objective, mos, max_iter: int = 2000, tol: float = 1e-10) -> LogisticFit:
+def fit_logistic(objective, mos) -> LogisticFit:
     """Fit the monotone 4-parameter logistic mapping objective -> mos.
 
     Runs from the standard initialization and, additionally, from a
@@ -221,10 +224,11 @@ def fit_logistic(objective, mos, max_iter: int = 2000, tol: float = 1e-10) -> Lo
     delta = 4.0 * slope * b4_lin
     init_linear = (mid + delta / 2.0, mid - delta / 2.0, b3_lin, b4_lin)
 
+    # absolute floor: RSS this far below the data scale is a perfect fit
     rss_floor = 1e-20 * len(y) * (float(np.var(y)) + 1.0)
     best = None
     for init in (init_linear, init_standard):
-        params, rss, conv = _lm_minimize(init, s, y, max_iter, tol)
+        params, rss, conv = _lm_minimize(init, s, y, rss_floor)
         if best is None or rss < best[1]:
             best = (params, rss, conv)
         if best[1] <= rss_floor:  # already a perfect fit
@@ -253,14 +257,32 @@ def evaluate(pairs: ScorePairSet) -> EvalReport:
 # Cross-validation and random splits
 
 
-def _score(params, records):
-    """(predicted, observed) MOS of `records`, scored in one array call."""
-    col = {k: np.array([getattr(r, k) for r in records]) for k in ("pqs", "qp", "tbpp", "mos")}
-    return model_predict(params, SimpleNamespace(**col)).pmos, col["mos"]
+def _held_out(records, train_contents, variant):
+    """Train on `train_contents`, score every other record in one call, evaluate."""
+    train = [r for r in records if r.content in train_contents]
+    test = [r for r in records if r.content not in train_contents]
+    params, _diag = train_full(train, variant=variant)
+    col = {k: np.array([getattr(r, k) for r in test]) for k in ("pqs", "qp", "tbpp", "mos")}
+    preds = model_predict(params, SimpleNamespace(**col)).pmos
+    return evaluate(ScorePairSet(preds, col["mos"]))
 
 
-def loocv(records, variant: str = "eq11-literal"):
-    """Content-level leave-one-out; returns (per-fold dict, summary dict)."""
+def _mean_std(rows):
+    """Mean and sample std (None below two rows) of each (plcc, srcc, rmse) column."""
+    if not rows:
+        return None, None
+    cols = dict(zip(("plcc", "srcc", "rmse"), np.array(rows).T))
+    mean = {k: np.mean(v) for k, v in cols.items()}
+    std = {k: np.std(v, ddof=1) for k, v in cols.items()} if len(rows) > 1 else None
+    return mean, std
+
+
+def loocv(records, variant: str = TRAINING_VARIANT):
+    """Content-level leave-one-out; returns (per-fold dict, summary dict).
+
+    A fold whose training or test set is too small for a fit is reported in
+    the summary's `failed_folds` and the run goes on.
+    """
     records = list(records)
     contents = sorted({r.content for r in records})
     if len(contents) < 2:
@@ -268,28 +290,18 @@ def loocv(records, variant: str = "eq11-literal"):
     folds = {}
     failures = {}
     for held in contents:
-        train = [r for r in records if r.content != held]
-        test = [r for r in records if r.content == held]
         try:
-            params, _diag = train_full(train, variant=variant)
-            preds, mos = _score(params, test)
-            folds[held] = evaluate(ScorePairSet(preds, mos, contents=(held,) * len(test)))
-        except Exception as exc:  # fold failure is reported, run continues
+            folds[held] = _held_out(records, set(contents) - {held}, variant)
+        except (StreamPcqError, ValueError) as exc:
             failures[held] = str(exc)
     if not folds:
         raise DegenerateDesign("every fold failed: " + "; ".join(failures.values()))
-    arr = np.array([[f.plcc, f.srcc, f.rmse] for f in folds.values()])
-    summary = {
-        "mean": {"plcc": arr[:, 0].mean(), "srcc": arr[:, 1].mean(), "rmse": arr[:, 2].mean()},
-        "std": {"plcc": arr[:, 0].std(ddof=1), "srcc": arr[:, 1].std(ddof=1),
-                "rmse": arr[:, 2].std(ddof=1)} if len(arr) > 1 else None,
-        "failed_folds": failures,
-    }
-    return folds, summary
+    mean, std = _mean_std([(f.plcc, f.srcc, f.rmse) for f in folds.values()])
+    return folds, {"mean": mean, "std": std, "failed_folds": failures}
 
 
 def random_split_eval(records, n_splits: int = 1000, n_train: int = 10,
-                      seed: int | None = None, variant: str = "eq11-literal"):
+                      seed: int | None = None, variant: str = TRAINING_VARIANT):
     """Content-level random train/validation splits, fully seeded.
 
     Returns (list of (plcc, srcc, rmse) per split, summary dict).  The
@@ -305,26 +317,11 @@ def random_split_eval(records, n_splits: int = 1000, n_train: int = 10,
     rng = np.random.default_rng(seed)
     results = []
     for _ in range(n_splits):
-        chosen = set(rng.choice(len(contents), size=n_train, replace=False).tolist())
-        train_contents = {contents[i] for i in chosen}
-        train = [r for r in records if r.content in train_contents]
-        test = [r for r in records if r.content not in train_contents]
-        params, _diag = train_full(train, variant=variant)
-        rep = evaluate(ScorePairSet(*_score(params, test)))
+        chosen = rng.choice(len(contents), size=n_train, replace=False).tolist()
+        rep = _held_out(records, {contents[i] for i in chosen}, variant)
         results.append((rep.plcc, rep.srcc, rep.rmse))
-    if results:
-        arr = np.array(results)
-        summary = {
-            "n_splits": n_splits,
-            "seed": seed,
-            "mean": {"plcc": arr[:, 0].mean(), "srcc": arr[:, 1].mean(),
-                     "rmse": arr[:, 2].mean()},
-            "std": {"plcc": arr[:, 0].std(ddof=1), "srcc": arr[:, 1].std(ddof=1),
-                    "rmse": arr[:, 2].std(ddof=1)} if len(arr) > 1 else None,
-        }
-    else:
-        summary = {"n_splits": 0, "seed": seed, "mean": None, "std": None}
-    return results, summary
+    mean, std = _mean_std(results)
+    return results, {"n_splits": len(results), "seed": seed, "mean": mean, "std": std}
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,6 @@ from .errors import MalformedHeader, NoEligibleBlocks, UnsupportedPly
 
 __all__ = ["PointCloud", "TcResult", "read_ply", "write_ply", "rgb_to_luma", "compute_tc"]
 
-_LUMA_WEIGHTS = np.array([0.299, 0.587, 0.114])  # BT.601 full range
-
 
 @dataclass(frozen=True)
 class PointCloud:

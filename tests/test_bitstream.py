@@ -177,6 +177,25 @@ def test_decoded_cloud_fallback():
     assert got.point_count_source == "decoded-cloud"
 
 
+@pytest.mark.parametrize("dropped, name, sidecar_value", [
+    ("sequence_params", "pqs", 0.5),
+    ("attribute_params", "qp", 40),
+    ("attribute_data", "texture_bits", 2400),
+])
+def test_feature_falls_back_to_sidecar(dropped, name, sidecar_value):
+    data = bs.synthesize_bitstream(feats(1.0, 22, 800, 100), SCHEMA)
+    units = [u for u in bs.read_tlv_units(data, SCHEMA)
+             if u.unit_type != SCHEMA.code_for(dropped)]
+    stream = bs.write_tlv_units(units, SCHEMA)
+    got = bs.extract_features(stream, SCHEMA, sidecar={name: sidecar_value})
+    assert getattr(got, name) == sidecar_value
+    assert got.point_count == 100
+    assert got.point_count_source == "slice-header"
+    with pytest.raises(MissingField) as ei:
+        bs.extract_features(stream, SCHEMA)
+    assert ei.value.name == name
+
+
 def test_unknown_unit_types_skipped():
     data = bs.synthesize_bitstream(feats(0.5, 28, 1600, 50), SCHEMA)
     noisy = bytes.fromhex("63" + "00000002" + "BEEF") + data

@@ -207,3 +207,17 @@ def test_record_order_invariance(synthetic_records):
     rng.shuffle(shuffled)
     p2, _ = train_full(shuffled)
     assert params_tuple(p1) == params_tuple(p2)
+
+
+def test_train_full_diagnostics_per_stage(synthetic_records):
+    _params, diag = train_full(synthetic_records)
+    # 20 contents x 4 pqs x 5 qp stimuli; 80 (content, pqs) alphas; 4 pqs levels
+    assert diag.stage_samples == {"A": 400, "B": 400, "C": 80, "D": 4}
+    assert set(diag.stage_rss) == {"A", "B", "C", "D"}
+    assert all(0.0 <= rss < 1e-12 for rss in diag.stage_rss.values())
+    assert diag.skipped_groups == []
+
+
+def test_train_full_defaults_to_the_variant_stage_a_fits(synthetic_records):
+    params, _ = train_full(synthetic_records)
+    assert params.variant == "alpha-times-tqs"

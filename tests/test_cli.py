@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import make_synthetic_records
-from streampcq.cli import main
+from streampcq.cli import build_parser, main
 from streampcq.model import ModelParams
 
 
@@ -187,6 +187,15 @@ def test_splits_command_bit_reproducible(tmp_path):
     assert run(args + ["--out", out1]) == 0
     assert run(args + ["--out", out2]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "t.csv", "--out-params", "p.json"],
+    ["loocv", "t.csv"],
+    ["splits", "t.csv", "--seed", "1"],
+])
+def test_training_commands_default_to_alpha_times_tqs(argv):
+    assert build_parser().parse_args(argv).variant == "alpha-times-tqs"
 
 
 def test_significance_matrix(tmp_path):

@@ -3,6 +3,7 @@ import pytest
 from scipy import stats as sps
 
 from conftest import make_synthetic_records
+from streampcq import evaluation
 from streampcq.errors import DegenerateDesign, ZeroVariance
 from streampcq.evaluation import (
     ScorePairSet,
@@ -199,6 +200,50 @@ def test_random_splits_zero_is_empty(synthetic_records):
 def test_random_splits_require_seed(synthetic_records):
     with pytest.raises(ValueError):
         random_split_eval(synthetic_records, n_splits=1, seed=None)
+
+
+def test_random_splits_default_variant_fits_noise_free_grid():
+    _results, summary = random_split_eval(make_synthetic_records(), n_splits=20, seed=1)
+    assert summary["mean"]["plcc"] > 0.999
+
+
+def test_loocv_reports_small_held_out_contents_as_failed_folds():
+    records = make_synthetic_records(tc_values=[10.0, 30.0, 50.0, 70.0, 90.0])
+    # content03 keeps 4 stimuli (too few for the logistic fit), content04
+    # keeps 3 (too few for a score pair set)
+    keep = {"content03": 4, "content04": 3}
+    seen = {}
+    rows = []
+    for r in records:
+        seen[r.content] = seen.get(r.content, 0) + 1
+        if seen[r.content] <= keep.get(r.content, 20):
+            rows.append(r)
+    folds, summary = loocv(rows)
+    assert sorted(summary["failed_folds"]) == ["content03", "content04"]
+    assert sorted(folds) == ["content00", "content01", "content02"]
+
+
+def test_loocv_lets_programming_errors_through(synthetic_records, monkeypatch):
+    def broken(*_args, **_kwargs):
+        raise TypeError("not a fold failure")
+
+    monkeypatch.setattr(evaluation, "train_full", broken)
+    with pytest.raises(TypeError):
+        loocv(synthetic_records)
+
+
+def test_summaries_are_column_mean_and_sample_std():
+    noisy = make_synthetic_records(noise_sigma=0.5, rng=np.random.default_rng(3))
+    folds, summary = loocv(noisy)
+    results, split_summary = random_split_eval(noisy, n_splits=4, seed=2)
+    for rows, summ in (([(f.plcc, f.srcc, f.rmse) for f in folds.values()], summary),
+                       (results, split_summary)):
+        for k, column in zip(("plcc", "srcc", "rmse"), zip(*rows)):
+            assert summ["mean"][k] == np.mean(column)
+            assert summ["std"][k] == np.std(column, ddof=1)
+    _, single = random_split_eval(noisy, n_splits=1, seed=2)
+    assert single["std"] is None
+    assert single["n_splits"] == 1
 
 
 # ---------------------------------------------------------------------------

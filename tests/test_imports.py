@@ -1,4 +1,4 @@
-"""Every module-level or local import in the package is used."""
+"""Every import and every module-level private name in the package is used."""
 
 import ast
 from pathlib import Path
@@ -24,3 +24,28 @@ def test_no_unused_imports():
     modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
     assert modules
     assert [u for p in modules for u in unused_imports(p)] == []
+
+
+def unread_private_names(path: Path) -> list:
+    """Module-level `_name` definitions that the module itself never reads."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        defined[name.id] = node.lineno
+    read = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return [f"{path.name}:{line}: {name}" for name, line in defined.items()
+            if name.startswith("_") and not name.startswith("__") and name not in read]
+
+
+def test_no_unread_private_names():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    assert [u for p in modules for u in unread_private_names(p)] == []
