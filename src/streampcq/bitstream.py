@@ -201,14 +201,10 @@ class BitReader:
     def read_bits(self, n: int, field=None) -> int:
         if n > self.bits_left:
             raise BitstreamExhausted(field)
-        val = 0
-        pos = self.pos
-        for _ in range(n):
-            byte = self.data[pos >> 3]
-            val = (val << 1) | ((byte >> (7 - (pos & 7))) & 1)
-            pos += 1
-        self.pos = pos
-        return val
+        end = self.pos + n
+        covering = int.from_bytes(self.data[self.pos >> 3 : (end + 7) >> 3], "big")
+        self.pos = end
+        return (covering >> (-end % 8)) & ((1 << n) - 1)
 
     def read_ue(self, field=None) -> int:
         zeros = 0
@@ -216,10 +212,7 @@ class BitReader:
             zeros += 1
             if zeros > 32:
                 raise UnrepresentableField(f"ue(v) {field!r}: more than 32 leading zero bits")
-        if zeros == 0:
-            return 0
-        suffix = self.read_bits(zeros, field)
-        return (1 << zeros) - 1 + suffix
+        return (1 << zeros) - 1 + self.read_bits(zeros, field)
 
     def read_se(self, field=None) -> int:
         k = self.read_ue(field)
@@ -230,13 +223,14 @@ class BitReader:
 
 class BitWriter:
     def __init__(self):
-        self._bits = []
+        self._value = 0   # every bit written so far, MSB first
+        self._nbits = 0
 
     def write_bits(self, value: int, n: int):
         if value < 0 or value >= (1 << n):
             raise UnrepresentableField(f"{value} does not fit in u({n})")
-        for i in range(n - 1, -1, -1):
-            self._bits.append((value >> i) & 1)
+        self._value = (self._value << n) | value
+        self._nbits += n
 
     def write_ue(self, value: int):
         if value < 0:
@@ -252,14 +246,8 @@ class BitWriter:
 
     def getvalue(self) -> bytes:
         """The bits written so far, zero-padded to a whole byte."""
-        bits = self._bits + [0] * (-len(self._bits) % 8)
-        out = bytearray()
-        for i in range(0, len(bits), 8):
-            b = 0
-            for bit in bits[i : i + 8]:
-                b = (b << 1) | bit
-            out.append(b)
-        return bytes(out)
+        pad = -self._nbits % 8
+        return (self._value << pad).to_bytes((self._nbits + pad) // 8, "big")
 
 
 # ---------------------------------------------------------------------------
@@ -423,8 +411,6 @@ def extract_features(
     slices = list(header_values("point_count"))  # one count per slice
     pc, source = resolve("point_count", sum(slices) if slices else None, int,
                          decoded_point_count)
-    if pc == 0:
-        raise ZeroPointCount("stream declares zero points")
 
     features = BitstreamFeatures.from_counts(pqs, qp, texture_bits, pc, source)
     features.validate()

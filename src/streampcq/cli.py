@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -89,12 +90,8 @@ def cmd_score(args) -> int:
     with open(args.features, newline="") as fh:
         for i, row in enumerate(csv.DictReader(fh)):
             try:
-                feats = bs.BitstreamFeatures(
-                    pqs=float(row["pqs"]), qp=int(row["qp"]),
-                    texture_bits=int(row.get("texture_bits") or 0),
-                    point_count=int(row.get("point_count") or 1),
-                    tbpp=float(row["tbpp"]))
-                pred = predict(params, feats)
+                pred = predict(params, SimpleNamespace(
+                    pqs=float(row["pqs"]), qp=int(row["qp"]), tbpp=float(row["tbpp"])))
             except (StreamPcqError, KeyError, ValueError) as exc:
                 failures.append((i, str(exc)))
                 continue
@@ -140,15 +137,12 @@ def cmd_train(args) -> int:
 
 
 def _read_scores_csv(path):
-    obj, mos, labels, contents = [], [], [], []
+    obj, mos = [], []
     with open(path, newline="") as fh:
         for row in csv.DictReader(fh):
-            labels.append(row.get("stimulus", ""))
-            contents.append(row.get("content", ""))
             obj.append(float(row["objective"]))
             mos.append(float(row["mos"]))
-    return ev.ScorePairSet(np.array(obj), np.array(mos),
-                           tuple(labels), tuple(contents))
+    return ev.ScorePairSet(np.array(obj), np.array(mos))
 
 
 def cmd_eval(args) -> int:

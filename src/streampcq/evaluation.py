@@ -41,8 +41,6 @@ __all__ = [
 class ScorePairSet:
     objective: np.ndarray
     mos: np.ndarray
-    labels: tuple = ()
-    contents: tuple = ()
 
     def __post_init__(self):
         obj = np.asarray(self.objective, dtype=float)
@@ -96,17 +94,10 @@ def plcc(x, y) -> float:
 
 def average_ranks(x) -> np.ndarray:
     """Ranks 1..n with ties replaced by the mean of the tied ranks."""
-    x = np.asarray(x, dtype=float)
-    order = np.argsort(x, kind="mergesort")
-    ranks = np.empty(len(x), dtype=float)
-    i = 0
-    while i < len(x):
-        j = i
-        while j + 1 < len(x) and x[order[j + 1]] == x[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(np.asarray(x, dtype=float),
+                                   return_inverse=True, return_counts=True)
+    # a tie run at sorted positions i..j has mean rank (i+j)/2 + 1
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
 
 
 def srcc(x, y) -> float:

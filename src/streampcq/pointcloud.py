@@ -151,11 +151,7 @@ def write_ply(path, pc: PointCloud, binary: bool = False):
                 rec[a] = pc.colors[:, i]
             fh.write(rec.tobytes())
         else:
-            lines = [
-                f"{p[0]} {p[1]} {p[2]} {c[0]} {c[1]} {c[2]}"
-                for p, c in zip(pc.positions, pc.colors)
-            ]
-            fh.write(("\n".join(lines) + "\n").encode("ascii"))
+            np.savetxt(fh, np.hstack([pc.positions, pc.colors]), fmt="%d")
 
 
 # ---------------------------------------------------------------------------

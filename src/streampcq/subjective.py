@@ -73,17 +73,12 @@ class MosTable:
 def zscore(ratings: np.ndarray, subject_ids=None) -> np.ndarray:
     """Per-subject Z over that subject's non-missing ratings (sample std)."""
     ratings = np.asarray(ratings, dtype=float)
-    out = np.full_like(ratings, np.nan)
-    for i in range(ratings.shape[1]):
-        col = ratings[:, i]
-        mask = ~np.isnan(col)
-        mu = col[mask].mean()
-        sd = col[mask].std(ddof=1)
-        if sd == 0.0:
-            sid = subject_ids[i] if subject_ids else i
-            raise ZeroVarianceSubject(sid)
-        out[mask, i] = (col[mask] - mu) / sd
-    return out
+    sd = np.nanstd(ratings, axis=0, ddof=1)
+    zero = np.flatnonzero(sd == 0.0)
+    if zero.size:
+        i = int(zero[0])
+        raise ZeroVarianceSubject(subject_ids[i] if subject_ids else i)
+    return (ratings - np.nanmean(ratings, axis=0)) / sd
 
 
 def rescale_to_range(z: np.ndarray, lo: float = 0.0, hi: float = 100.0) -> np.ndarray:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -99,6 +100,49 @@ def test_se_roundtrip(v):
     w = bs.BitWriter()
     w.write_se(v)
     assert bs.BitReader(w.getvalue()).read_se() == v
+
+
+def ue_bits(k: int) -> str:
+    """Exp-Golomb codeword of k: n-1 zeros, then k+1 in n bits."""
+    code = format(k + 1, "b")
+    return "0" * (len(code) - 1) + code
+
+
+FIELDS = st.one_of(
+    st.integers(min_value=1, max_value=40).flatmap(
+        lambda n: st.tuples(st.just("u"), st.just(n), st.integers(0, 2**n - 1))),
+    st.tuples(st.just("ue"), st.just(0), st.integers(0, 2**33 - 2)),
+    st.tuples(st.just("se"), st.just(0), st.integers(-2**32 + 1, 2**32 - 1)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=7), st.lists(FIELDS, max_size=20))
+def test_bit_io_matches_bit_string_reference(pad, fields):
+    w = bs.BitWriter()
+    w.write_bits(0, pad)
+    ref = "0" * pad
+    for kind, n, v in fields:
+        if kind == "u":
+            w.write_bits(v, n)
+            ref += format(v, f"0{n}b")
+        elif kind == "ue":
+            w.write_ue(v)
+            ref += ue_bits(v)
+        else:
+            w.write_se(v)
+            ref += ue_bits(2 * v - 1 if v > 0 else -2 * v)
+    data = w.getvalue()
+    assert data == bits(ref)
+    r = bs.BitReader(data)
+    assert r.read_bits(pad) == 0
+    for kind, n, v in fields:
+        got = r.read_bits(n) if kind == "u" else r.read_ue() if kind == "ue" else r.read_se()
+        assert got == v
+    assert r.bits_consumed == len(ref)
+    assert r.read_bits(r.bits_left) == 0  # the zero padding of the last byte
+    with pytest.raises(BitstreamExhausted):
+        r.read_bits(1)
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +286,21 @@ def test_zero_geometry_scale_rejected():
         bs.BitstreamFeatures(pqs=0.0, qp=22, texture_bits=8, point_count=1, tbpp=8.0).validate()
 
 
+def test_zero_point_count_rejected_from_stream_and_sidecar():
+    code = SCHEMA.code_for
+    units = [
+        bs.TlvUnit(code("sequence_params"), header("sequence_params", geom_scale_num=8)),
+        bs.TlvUnit(code("attribute_params"), header("attribute_params", attr_initial_qp=34)),
+        bs.TlvUnit(code("attribute_data"), bytes(10)),
+    ]
+    empty_slice = bs.TlvUnit(code("geometry_data"), header("geometry_data", slice_point_count=0))
+    with pytest.raises(ZeroPointCount):
+        bs.extract_features(bs.write_tlv_units(units + [empty_slice], SCHEMA), SCHEMA)
+    with pytest.raises(ZeroPointCount):
+        bs.extract_features(bs.write_tlv_units(units, SCHEMA), SCHEMA,
+                            sidecar={"point_count": 0})
+
+
 def test_unrepresentable_pqs():
     with pytest.raises(UnrepresentableField):
         bs.synthesize_bitstream(feats(0.3, 22, 800, 100), SCHEMA)
@@ -288,3 +347,57 @@ def test_schema_json_roundtrip(tmp_path):
     SCHEMA.save(path)
     loaded = bs.SyntaxSchema.load(path)
     assert loaded == SCHEMA
+
+
+def test_schema_toml_loads_like_its_json_twin(tmp_path):
+    toml = tmp_path / "schema.toml"
+    toml.write_text('''
+[framing]
+type_bytes = 2
+length_bytes = 2
+length_endian = "little"
+
+[unit_codes]
+sequence_params = 16
+attribute_params = 48
+
+[[field_paths.sequence_params]]
+name = "geom_scale_num"
+kind = "ue"
+
+[[field_paths.attribute_params]]
+name = "attr_label"
+kind = "u"
+width = 4
+
+[[field_paths.attribute_params]]
+name = "attr_initial_qp"
+kind = "se"
+
+[targets.pqs]
+unit_class = "sequence_params"
+field = "geom_scale_num"
+divisor = 8
+
+[targets.qp]
+unit_class = "attribute_params"
+field = "attr_initial_qp"
+''')
+    twin = tmp_path / "schema.json"
+    twin.write_text(json.dumps({
+        "framing": {"type_bytes": 2, "length_bytes": 2, "length_endian": "little"},
+        "unit_codes": {"sequence_params": 16, "attribute_params": 48},
+        "field_paths": {
+            "sequence_params": [{"name": "geom_scale_num", "kind": "ue"}],
+            "attribute_params": [{"name": "attr_label", "kind": "u", "width": 4},
+                                 {"name": "attr_initial_qp", "kind": "se"}],
+        },
+        "targets": {
+            "pqs": {"unit_class": "sequence_params", "field": "geom_scale_num", "divisor": 8},
+            "qp": {"unit_class": "attribute_params", "field": "attr_initial_qp"},
+        },
+    }))
+    loaded = bs.SyntaxSchema.load(toml)
+    assert loaded == bs.SyntaxSchema.load(twin)
+    assert loaded.length_endian == "little"
+    assert loaded.field_paths["attribute_params"][1] == bs.FieldSpec("attr_initial_qp", "se")

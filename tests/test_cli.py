@@ -100,6 +100,15 @@ def test_score_defaults(tmp_path):
     assert float(row["pmos"]) == pytest.approx(77.2487, abs=1e-3)
 
 
+def test_score_reads_only_the_model_columns(tmp_path):
+    feat = tmp_path / "features.csv"
+    feat.write_text("stream,pqs,qp,texture_bits,point_count,tbpp\n"
+                    "s1,0.25,46,1.5e6,3000000,0.5\n")
+    out = tmp_path / "scores.csv"
+    assert run(["score", feat, "--out", out]) == 0
+    assert float(read_csv(out)[0]["pmos"]) == pytest.approx(77.2487, abs=1e-3)
+
+
 def test_score_variant_and_clamp(tmp_path):
     feat = tmp_path / "features.csv"
     feat.write_text("stream,pqs,qp,tbpp\ns1,0.25,46,0.5\n")

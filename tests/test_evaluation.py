@@ -46,6 +46,33 @@ def test_srcc_with_ties_matches_scipy():
     assert srcc(x, y) == pytest.approx(expected, abs=1e-12)
 
 
+def average_ranks_loop(x):
+    """Tie run by tie run over the sorted order, the reference for the array form."""
+    x = np.asarray(x, dtype=float)
+    order = np.argsort(x, kind="mergesort")
+    ranks = np.empty(len(x), dtype=float)
+    i = 0
+    while i < len(x):
+        j = i
+        while j + 1 < len(x) and x[order[j + 1]] == x[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+def test_average_ranks_match_tie_loop_bitwise():
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        n = int(rng.integers(0, 200))
+        x = rng.integers(-5, 6, size=n) * rng.choice([0.5, 1.0, 1e6])
+        if rng.random() < 0.3:
+            x = np.where(rng.random(n) < 0.5, x, rng.normal(size=n))
+        x[rng.random(n) < 0.2] = 0.0
+        x[rng.random(n) < 0.2] = -0.0
+        assert average_ranks(x).tobytes() == average_ranks_loop(x).tobytes()
+
+
 def test_metrics_against_scipy_oracle():
     rng = np.random.default_rng(9)
     for _ in range(20):

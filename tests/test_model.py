@@ -138,6 +138,14 @@ def test_params_roundtrip_json(tmp_path):
     assert ModelParams.load(path) == custom
 
 
+def test_params_toml_loads_like_its_json_twin(tmp_path):
+    toml, twin = tmp_path / "params.toml", tmp_path / "params.json"
+    toml.write_text('c = 0.5\nf2 = 90.25\nvariant = "alpha-times-tqs"\n')
+    twin.write_text('{"c": 0.5, "f2": 90.25, "variant": "alpha-times-tqs"}')
+    assert ModelParams.load(toml) == ModelParams.load(twin)
+    assert ModelParams.load(toml) == ModelParams(c=0.5, f2=90.25, variant="alpha-times-tqs")
+
+
 def test_params_unknown_variant_rejected():
     with pytest.raises(ValueError):
         ModelParams(variant="bogus")

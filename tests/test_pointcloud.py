@@ -69,6 +69,26 @@ def test_ascii_binary_twins(tmp_path):
     assert np.array_equal(pa.colors, pb.colors)
 
 
+def test_ascii_ply_matches_per_point_text(tmp_path):
+    rng = np.random.default_rng(3)
+    lim = np.iinfo(np.int32)
+    for n in (1, 2, 257):
+        pos = rng.integers(-1000, 1000, size=(n, 3)).astype(np.int32)
+        pos[0] = (lim.min, lim.max, 0)
+        pc = PointCloud(pos, rng.integers(0, 256, size=(n, 3)).astype(np.uint8))
+        path = tmp_path / "a.ply"
+        write_ply(path, pc)
+        header = (
+            f"ply\nformat ascii 1.0\nelement vertex {n}\n"
+            "property float x\nproperty float y\nproperty float z\n"
+            "property uchar red\nproperty uchar green\nproperty uchar blue\n"
+            "end_header\n"
+        )
+        body = "".join(f"{p[0]} {p[1]} {p[2]} {c[0]} {c[1]} {c[2]}\n"
+                       for p, c in zip(pc.positions, pc.colors))
+        assert path.read_bytes() == (header + body).encode("ascii")
+
+
 def test_float_rounding_half_away(tmp_path):
     p = tmp_path / "round.ply"
     p.write_text(

@@ -24,6 +24,39 @@ def test_zscore_constant_subject():
         zscore(ratings)
 
 
+def test_zscore_names_first_constant_subject():
+    ratings = np.array([[10.0, 50.0, 1.0, 7.0],
+                        [20.0, 50.0, 2.0, 7.0],
+                        [30.0, np.nan, 3.0, 7.0]])
+    with pytest.raises(ZeroVarianceSubject, match="subject 'b' "):
+        zscore(ratings, ["a", "b", "c", "d"])
+    with pytest.raises(ZeroVarianceSubject, match="subject 1 "):
+        zscore(ratings)
+
+
+def zscore_loop(ratings):
+    """Subject by subject over the non-missing ratings, the reference for the array form."""
+    out = np.full_like(ratings, np.nan)
+    for i in range(ratings.shape[1]):
+        col = ratings[:, i]
+        mask = ~np.isnan(col)
+        out[mask, i] = (col[mask] - col[mask].mean()) / col[mask].std(ddof=1)
+    return out
+
+
+def test_zscore_matches_subject_loop():
+    rng = np.random.default_rng(12)
+    for _ in range(100):
+        ns, nj = rng.integers(3, 60), rng.integers(2, 30)
+        ratings = rng.normal(50, 15, size=(ns, nj)) * rng.uniform(0.5, 2.0, size=nj)
+        gaps = rng.random((ns, nj)) < 0.25
+        gaps[:2] = False  # every subject keeps two ratings
+        ratings[gaps] = np.nan
+        # each column of z has unit sample std, so atol is relative to its scale
+        np.testing.assert_allclose(zscore(ratings), zscore_loop(ratings),
+                                   rtol=1e-12, atol=1e-12)
+
+
 def test_zscore_columns_standardized():
     rng = np.random.default_rng(1)
     ratings = rng.uniform(0, 100, size=(400, 30))
