@@ -67,11 +67,13 @@ class FieldSpec:
 
 @dataclass(frozen=True)
 class TargetSpec:
-    """Where a feature lives: which unit class, which field, optional divisor."""
+    """Where a feature lives: which unit class, which field, optional divisor,
+    and the header values (`where`, field -> value) a unit must carry."""
 
     unit_class: str
     field: str
     divisor: int = 1
+    where: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -104,7 +106,8 @@ class SyntaxSchema:
                 for cls, path in self.field_paths.items()
             },
             "targets": {
-                feat: {"unit_class": t.unit_class, "field": t.field, "divisor": t.divisor}
+                feat: {"unit_class": t.unit_class, "field": t.field, "divisor": t.divisor,
+                       "where": dict(t.where)}
                 for feat, t in self.targets.items()
             },
         }
@@ -122,14 +125,16 @@ class SyntaxSchema:
                 for name, path in d.get("field_paths", {}).items()
             },
             targets={
-                feat: TargetSpec(t["unit_class"], t["field"], t.get("divisor", 1))
+                feat: TargetSpec(t["unit_class"], t["field"], t.get("divisor", 1),
+                                 dict(t.get("where", {})))
                 for feat, t in d.get("targets", {}).items()
             },
         )
 
     @classmethod
     def load(cls, path) -> "SyntaxSchema":
-        text = open(path, "rb").read()
+        with open(path, "rb") as fh:
+            text = fh.read()
         if str(path).endswith(".toml"):
             import tomllib
 
@@ -175,7 +180,7 @@ def default_schema() -> SyntaxSchema:
         },
         targets={
             "pqs": TargetSpec("sequence_params", "geom_scale_num", divisor=8),
-            "qp": TargetSpec("attribute_params", "attr_initial_qp"),
+            "qp": TargetSpec("attribute_params", "attr_initial_qp", where={"attr_label": 0}),
             "point_count": TargetSpec("geometry_data", "slice_point_count"),
         },
     )
@@ -379,7 +384,7 @@ def extract_features(
             units_of.setdefault(cls, []).append(u)
 
     def header_values(feature: str):
-        """The target field of `feature` from each unit of its class, in stream order."""
+        """The target field of `feature` from each matching unit of its class, in stream order."""
         t = schema.targets.get(feature)
         path = schema.field_paths.get(t.unit_class) if t is not None else None
         if not path or t.field not in {f.name for f in path}:
@@ -389,7 +394,8 @@ def extract_features(
             fields = parse_header(unit.payload, path, reader=reader)
             if trace is not None:
                 trace.append((t.unit_class, reader.bits_consumed, 8 * len(unit.payload)))
-            yield fields[t.field]
+            if all(fields.get(k) == v for k, v in t.where.items()):
+                yield fields[t.field]
 
     def resolve(name, in_stream, cast, decoded=None):
         """(value, source): the stream's value unless None, else the sidecar's,
@@ -455,6 +461,7 @@ def synthesize_bitstream(
     for feat, t in schema.targets.items():
         if feat in target_values:
             field_value[(t.unit_class, t.field)] = target_values[feat]
+            field_value.update({(t.unit_class, k): v for k, v in t.where.items()})
 
     def build_header(unit_class: str) -> bytes:
         w = BitWriter()

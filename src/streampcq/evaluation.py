@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
-from scipy.special import betaincinv
 
 from .errors import DegenerateDesign, StreamPcqError, ZeroVariance
 from .calibration import TRAINING_VARIANT, train_full
@@ -113,87 +112,92 @@ def rmse(x, y) -> float:
 
 # ---------------------------------------------------------------------------
 # Logistic mapping
+#
+# b2 + (b1-b2)/(1+exp(-(s-b3)/b4)) is mid + half*tanh(t*(s-b3)/2) with mid,
+# half = (b1+b2)/2, (b1-b2)/2 and t = 1/b4.  For fixed (b3, t), mid and half
+# are a closed-form least-squares fit (variable projection, Golub & Pereyra
+# 1973), so damped Gauss-Newton searches (b3, t) alone, from all starts at
+# once.  A start has converged when its RSS is under the perfect-fit floor or
+# a full Gauss-Newton step would cut it by at most the fraction _GTOL**2.  A
+# step to |b1 - b2| > _MAX_SPREAD * range(mos) is refused: past it b1 and b2
+# cancel in the mapping, and its rounding could fit the noise.
+_MAX_TRIALS = 100
+_GTOL = 1e-6
+_MAX_SPREAD = 1e7
 
 
-# Levenberg-Marquardt stopping rule: iteration cap and relative RSS gain
-_MAX_ITER = 2000
-_TOL = 1e-10
+def _dot(u, v):
+    return (u * v).sum(axis=1)
 
 
-def _logistic(params, s):
-    b1, b2, b3, b4 = params
-    u = (s - b3) / abs(b4)
-    # tanh form: b2 + (b1-b2)*sigmoid(u), computed without the large
-    # (b1-b2)*sigmoid cancellation so near-linear fits stay accurate
-    t = np.tanh(0.5 * u)
-    sig = 0.5 * (1.0 + t)
-    pred = 0.5 * (b1 + b2) + 0.5 * (b1 - b2) * t
-    return pred, sig, u
+def _project(s, y, b3, t):
+    """Per start (row): (b1, b2, b3, b4) with the closed-form mid and half, the
+    mapping computed from those four numbers as fit_logistic reports it, tanh."""
+    b4 = 1.0 / t
+    th = np.tanh(0.5 * (s - b3[:, None]) / b4[:, None])
+    tc = th - th.mean(axis=1, keepdims=True)
+    half = (tc @ y) / _dot(tc, tc)
+    mid = y.mean() - half * th.mean(axis=1)
+    b1, b2 = mid + half, mid - half
+    mapped = (0.5 * (b1 + b2))[:, None] + (0.5 * (b1 - b2))[:, None] * th
+    return np.stack([b1, b2, b3, b4], axis=1), mapped, th
 
 
-def _lm_minimize(params, s, y, rss_floor):
-    """Damped Gauss-Newton on the 4-parameter logistic RSS."""
-    params = np.array(params, dtype=float)
-    pred, _, _ = _logistic(params, s)
-    r = pred - y
-    rss = float(r @ r)
-    lam = 1e-3
-    converged = False
-    for _ in range(_MAX_ITER):
-        if rss <= rss_floor:
-            converged = True
-            break
-        b1, b2, b3, b4 = params
-        pred, sig, u = _logistic(params, s)
-        r = pred - y
-        dsig = sig * (1.0 - sig)
-        jac = np.stack([
-            sig,
-            1.0 - sig,
-            -(b1 - b2) * dsig / abs(b4),
-            -(b1 - b2) * dsig * u / abs(b4) * math.copysign(1.0, b4),
-        ], axis=1)
-        jtj = jac.T @ jac
-        jtr = jac.T @ r
-        improved = False
-        diag = np.diagonal(jtj).copy()
-        diag[diag == 0.0] = 1e-300
-        for _try in range(60):
-            damped = jtj + lam * np.diag(diag)
-            try:
-                step = np.linalg.solve(damped, -jtr)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            cand = params + step
-            if cand[3] == 0.0:
-                lam *= 10.0
-                continue
-            cand_pred, _, _ = _logistic(cand, s)
-            cand_r = cand_pred - y
-            cand_rss = float(cand_r @ cand_r)
-            if np.isfinite(cand_rss) and cand_rss <= rss:
-                rel = (rss - cand_rss) / rss if rss > 0 else 0.0
-                params, rss = cand, cand_rss
-                lam = max(lam / 3.0, 1e-12)
-                improved = True
-                if rel < _TOL:
-                    converged = True
-                break
-            lam *= 3.0
-        if not improved:
-            converged = True  # stalled at a (local) minimum
-        if converged:
-            break
-    return params, rss, converged
+def _search(s, y, b3, t, rss_floor):
+    """(params, rss, converged) per start, after damped Gauss-Newton over (b3, t).
+
+    Ends when every start has converged or stalled (no damping of either step
+    lowers its RSS); when the start with the lowest RSS has converged and no
+    other start's Gauss-Newton step, shrunk by its damping, predicts an RSS
+    more than 1e-6 below it; or after _MAX_TRIALS steps.
+    """
+    params, mapped, th = _project(s, y, b3, t)
+    rss, lams = np.square(y - mapped).sum(axis=1), np.full((2, len(t)), 1e-3)
+    for trial in range(_MAX_TRIALS + 1):
+        # d(residual)/d(b3, t) less its part in span(1, tanh); jt2 is the t
+        # column less its part along the b3 column
+        r, tc = y - mapped, th - th.mean(axis=1, keepdims=True)
+        d = 0.5 * (params[:, :1] - params[:, 1:2]) * (1.0 - th * th)
+        jb, jt = (v - v.mean(axis=1, keepdims=True) - tc * (_dot(tc, v) / _dot(tc, tc))[:, None]
+                  for v in (0.5 * t[:, None] * d, -0.5 * (s - b3[:, None]) * d))
+        a, c, along = _dot(jb, jb), _dot(jt, jt), _dot(jb, jt) / _dot(jb, jb)
+        jt2 = jt - along[:, None] * jb
+        c2, gb, gt2 = _dot(jt2, jt2), _dot(jb, r), _dot(jt2, r)
+        gain = gb * gb / a + gt2 * gt2 / c2  # RSS cut a full Gauss-Newton step predicts
+        converged = (rss <= rss_floor) | (gain <= _GTOL**2 * rss)
+        going = ~converged & ~(lams > 1e16).all(axis=0)
+        best = np.argmin(rss)
+        hopeful = going & (rss - gain / (1.0 + lams.min(axis=0)) < rss[best] * (1.0 - 1e-6))
+        if trial == _MAX_TRIALS or not going.any() or (converged[best] and not hopeful.any()):
+            return params, rss, converged
+        # Marquardt step (J'J + lam diag J'J) step = -J'r, solved in (jb, jt2).
+        # A start whose Marquardt steps keep failing (lam > 1) takes, every
+        # other trial and with its own lam, a step in t that holds
+        # t*(b3 - mean(s)): it slides along the spread bound the Marquardt
+        # step runs into.
+        slide = (trial % 2 == 1) & (lams[0] > 1.0)
+        lam = np.where(slide, lams[1], lams[0])
+        e = c2 + lam * (2.0 + lam) * c
+        w = (s.mean() - b3) / t
+        jw = jt + w[:, None] * jb
+        step = -_dot(jw, r) / ((1.0 + lam) * _dot(jw, jw))
+        cand_b3 = b3 + np.where(slide, w * step, (along * a * gt2 - gb * (c2 + lam * c)) / (a * e))
+        cand_t = np.abs(t + np.where(slide, step, -((1.0 + lam) * gt2 + lam * along * gb) / e))
+        cand = _project(s, y, cand_b3, cand_t)
+        cand_rss = np.square(y - cand[1]).sum(axis=1)
+        ok = (cand_rss < rss) & (np.abs(cand[0][:, 0] - cand[0][:, 1]) <= _MAX_SPREAD * np.ptp(y))
+        b3, t, rss = np.where(ok, cand_b3, b3), np.where(ok, cand_t, t), np.where(ok, cand_rss, rss)
+        params, mapped, th = (np.where(ok[:, None], new, old)
+                              for new, old in zip(cand, (params, mapped, th)))
+        lams[slide.astype(int), np.arange(len(t))] = np.where(ok, lam / 3.0, lam * 10.0)
 
 
 def fit_logistic(objective, mos) -> LogisticFit:
     """Fit the monotone 4-parameter logistic mapping objective -> mos.
 
-    Runs from the standard initialization and, additionally, from a
-    near-linear initialization (large slope parameter) so exactly-linear
-    data converges to the nested linear solution.
+    Starts: the near-linear t = 1e-6/span at b3 = mean, and b3 at the
+    10/30/50/70/90 % quantiles of the objective with t*std in {1, 4}.  The
+    lowest RSS wins.
     """
     s = np.asarray(objective, dtype=float)
     y = np.asarray(mos, dtype=float)
@@ -202,32 +206,17 @@ def fit_logistic(objective, mos) -> LogisticFit:
     if np.all(s == s[0]):
         raise ZeroVariance("objective scores are constant")
 
-    spread = float(s.std())
-    init_standard = (float(y.max()), float(y.min()), float(s.mean()),
-                     spread / 4.0 if spread > 0 else 1.0)
-
-    # near-linear start: logistic is locally linear around its center
-    span = float(s.max() - s.min()) or 1.0
-    slope = float(np.polyfit(s, y, 1)[0])
-    b4_lin = 1e6 * span
-    b3_lin = float(s.mean())
-    mid = float(y.mean())
-    delta = 4.0 * slope * b4_lin
-    init_linear = (mid + delta / 2.0, mid - delta / 2.0, b3_lin, b4_lin)
-
     # absolute floor: RSS this far below the data scale is a perfect fit
     rss_floor = 1e-20 * len(y) * (float(np.var(y)) + 1.0)
-    best = None
-    for init in (init_linear, init_standard):
-        params, rss, conv = _lm_minimize(init, s, y, rss_floor)
-        if best is None or rss < best[1]:
-            best = (params, rss, conv)
-        if best[1] <= rss_floor:  # already a perfect fit
-            break
-    params, rss, conv = best
-    mapped, _, _ = _logistic(params, s)
-    return LogisticFit(params=tuple(float(p) for p in params),
-                       mapped=mapped, rss=rss, converged=conv)
+    b3 = np.concatenate([[s.mean()], np.tile(np.quantile(s, (0.1, 0.3, 0.5, 0.7, 0.9)), 2)])
+    t = np.concatenate([[1e-6 / np.ptp(s)], np.repeat((1.0 / s.std(), 4.0 / s.std()), 5)])
+    with np.errstate(all="ignore"):  # a degenerate candidate is NaN and never accepted
+        params, rss, converged = _search(s, y, b3, t, rss_floor)
+    b1, b2, b3, b4 = (float(p) for p in params[np.argmin(rss)])
+    mapped = 0.5 * (b1 + b2) + 0.5 * (b1 - b2) * np.tanh(0.5 * (s - b3) / b4)
+    return LogisticFit(params=(b1, b2, b3, b4), mapped=mapped,
+                       rss=float(np.square(mapped - y).sum()),
+                       converged=bool(converged[np.argmin(rss)]))
 
 
 def evaluate(pairs: ScorePairSet) -> EvalReport:
@@ -321,6 +310,8 @@ def random_split_eval(records, n_splits: int = 1000, n_train: int = 10,
 
 def f_quantile(p: float, d1: int, d2: int) -> float:
     """F-distribution quantile via the regularized incomplete beta inverse."""
+    from scipy.special import betaincinv  # loaded here: only `significance` needs scipy
+
     z = float(betaincinv(d1 / 2.0, d2 / 2.0, p))
     return d2 * z / (d1 * (1.0 - z))
 

@@ -401,3 +401,54 @@ field = "attr_initial_qp"
     assert loaded == bs.SyntaxSchema.load(twin)
     assert loaded.length_endian == "little"
     assert loaded.field_paths["attribute_params"][1] == bs.FieldSpec("attr_initial_qp", "se")
+
+
+def test_schema_toml_carries_the_target_selector(tmp_path):
+    toml = tmp_path / "schema.toml"
+    toml.write_text('''
+[targets.qp]
+unit_class = "attribute_params"
+field = "attr_initial_qp"
+
+[targets.qp.where]
+attr_label = 0
+''')
+    loaded = bs.SyntaxSchema.load(toml)
+    assert loaded.to_dict()["targets"]["qp"]["where"] == {"attr_label": 0}
+    assert loaded.targets["qp"] == SCHEMA.targets["qp"]
+
+
+def colour_and_reflectance_stream(attribute_params):
+    code = SCHEMA.code_for
+    return bs.write_tlv_units([
+        bs.TlvUnit(code("sequence_params"), header("sequence_params", geom_scale_num=8)),
+        *(bs.TlvUnit(code("attribute_params"), header("attribute_params", attr_label=label,
+                                                      attr_initial_qp=qp))
+          for label, qp in attribute_params),
+        bs.TlvUnit(code("geometry_data"), header("geometry_data", slice_point_count=100)),
+        bs.TlvUnit(code("attribute_data"), bytes(100)),
+    ], SCHEMA)
+
+
+def test_qp_comes_from_the_colour_attribute():
+    # reflectance (attr_label 1) ahead of colour (attr_label 0)
+    data = colour_and_reflectance_stream([(1, 10), (0, 34)])
+    assert bs.extract_features(data, SCHEMA).qp == 34
+
+
+def test_reflectance_only_stream_has_no_header_qp():
+    data = colour_and_reflectance_stream([(1, 10)])
+    assert bs.extract_features(data, SCHEMA, sidecar={"qp": 28}).qp == 28
+    with pytest.raises(MissingField) as ei:
+        bs.extract_features(data, SCHEMA)
+    assert ei.value.name == "qp"
+
+
+def test_synthesized_stream_carries_the_selected_label():
+    d = SCHEMA.to_dict()
+    d["targets"]["qp"]["where"] = {"attr_label": 2}
+    schema = bs.SyntaxSchema.from_dict(d)
+    f = feats(0.5, 40, 800, 100)
+    assert bs.extract_features(bs.synthesize_bitstream(f, schema), schema) == f
+    with pytest.raises(MissingField):
+        bs.extract_features(bs.synthesize_bitstream(f, SCHEMA), schema)

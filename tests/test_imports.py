@@ -1,6 +1,10 @@
-"""Every import and every module-level private name in the package is used."""
+"""Every import and every module-level private name in the package is used,
+and importing the CLI leaves scipy unloaded."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "streampcq"
@@ -49,3 +53,11 @@ def test_no_unread_private_names():
     modules = sorted(PACKAGE.glob("*.py"))
     assert modules
     assert [u for p in modules for u in unread_private_names(p)] == []
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is imported inside f_quantile, which only `significance` reaches
+    probe = "import sys, streampcq.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}, check=True)
+    assert out.stdout.strip() == "False"
