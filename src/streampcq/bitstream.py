@@ -9,12 +9,16 @@ enough to run at any network node.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
     BitstreamExhausted,
     EmptyInput,
+    InvalidFeature,
+    InvalidSchema,
+    InvalidSidecar,
     MissingField,
     NonPositivePqs,
     TruncatedUnit,
@@ -35,6 +39,7 @@ __all__ = [
     "write_tlv_units",
     "parse_header",
     "extract_features",
+    "load_sidecar",
     "synthesize_bitstream",
     "compute_tbpp",
 ]
@@ -42,6 +47,15 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # Schema
+
+
+def _require(ok, message):
+    if not ok:
+        raise InvalidSchema(message)
+
+
+def _positive_int(v) -> bool:
+    return isinstance(v, int) and v > 0
 
 
 @dataclass(frozen=True)
@@ -59,10 +73,9 @@ class FieldSpec:
     width: int = 0     # bit width, only for kind == 'u'
 
     def __post_init__(self):
-        if self.kind not in ("u", "ue", "se"):
-            raise ValueError(f"unsupported descriptor kind {self.kind!r}")
-        if self.kind == "u" and self.width <= 0:
-            raise ValueError("u(n) descriptor needs a positive width")
+        _require(self.kind in ("u", "ue", "se"), f"unsupported descriptor kind {self.kind!r}")
+        _require(self.kind != "u" or _positive_int(self.width),
+                 f"u(n) descriptor {self.name!r} needs a positive integer width")
 
 
 @dataclass(frozen=True)
@@ -75,6 +88,12 @@ class TargetSpec:
     divisor: int = 1
     where: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        _require(isinstance(self.unit_class, str) and isinstance(self.field, str)
+                 and isinstance(self.where, dict) and _positive_int(self.divisor),
+                 f"target {self.field!r} needs a unit class and field name, a positive "
+                 f"integer divisor and a `where` table")
+
 
 @dataclass(frozen=True)
 class SyntaxSchema:
@@ -84,6 +103,14 @@ class SyntaxSchema:
     unit_codes: dict = field(default_factory=dict)    # class name -> code
     field_paths: dict = field(default_factory=dict)   # class name -> [FieldSpec]
     targets: dict = field(default_factory=dict)       # feature -> TargetSpec
+
+    def __post_init__(self):
+        _require(_positive_int(self.type_bytes) and _positive_int(self.length_bytes)
+                 and self.length_endian in ("big", "little"),
+                 "framing needs positive integer type_bytes and length_bytes and a "
+                 "length_endian of 'big' or 'little'")
+        _require(all(isinstance(c, int) for c in self.unit_codes.values()),
+                 "unit codes must be integers")
 
     def code_for(self, unit_class: str) -> int:
         return self.unit_codes[unit_class]
@@ -114,6 +141,9 @@ class SyntaxSchema:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SyntaxSchema":
+        _require(isinstance(d, dict) and all(isinstance(d.get(k, {}), dict) for k in
+                                             ("framing", "unit_codes", "field_paths", "targets")),
+                 "a schema and its framing, unit_codes, field_paths and targets must be tables")
         framing = d.get("framing", {})
         return cls(
             type_bytes=framing.get("type_bytes", 1),
@@ -133,13 +163,19 @@ class SyntaxSchema:
 
     @classmethod
     def load(cls, path) -> "SyntaxSchema":
+        """Read a JSON or TOML schema; InvalidSchema if it does not parse or
+        is not shaped like one."""
         with open(path, "rb") as fh:
             text = fh.read()
-        if str(path).endswith(".toml"):
-            import tomllib
+        try:
+            if str(path).endswith(".toml"):
+                import tomllib
 
-            return cls.from_dict(tomllib.loads(text.decode()))
-        return cls.from_dict(json.loads(text))
+                return cls.from_dict(tomllib.loads(text.decode()))
+            return cls.from_dict(json.loads(text))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+            raise InvalidSchema(f"schema {path}: {reason}") from exc
 
     def save(self, path):
         with open(path, "w") as fh:
@@ -335,10 +371,14 @@ class BitstreamFeatures:
     def validate(self):
         if self.pqs <= 0:
             raise NonPositivePqs(f"pqs must be positive, got {self.pqs}")
+        if not math.isfinite(self.pqs):
+            raise InvalidFeature(f"pqs must be finite, got {self.pqs}")
+        if self.texture_bits < 0:
+            raise InvalidFeature(f"texture_bits must not be negative, got {self.texture_bits}")
         if self.point_count <= 0:
             raise ZeroPointCount("point_count must be positive")
         if self.tbpp != self.texture_bits / self.point_count:
-            raise ValueError("tbpp inconsistent with texture_bits/point_count")
+            raise InvalidFeature("tbpp inconsistent with texture_bits/point_count")
 
     @classmethod
     def from_counts(cls, pqs, qp, texture_bits, point_count, source="slice-header"):
@@ -356,6 +396,36 @@ def compute_tbpp(texture_bits: int, point_count: int) -> float:
     if point_count == 0:
         raise ZeroPointCount("cannot compute bits per point for an empty cloud")
     return texture_bits / point_count
+
+
+def load_sidecar(path) -> dict:
+    """The JSON object of a `<stream>.meta.json` sidecar file; InvalidSidecar
+    if the file does not hold one JSON object."""
+    try:
+        with open(path, "rb") as fh:
+            sidecar = json.load(fh)
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise InvalidSidecar(f"sidecar {path}: {exc}") from exc
+    if not isinstance(sidecar, dict):
+        raise InvalidSidecar(f"sidecar {path}: not a JSON object")
+    return sidecar
+
+
+def _sidecar_value(name, value, whole):
+    """`value` as a finite float or, when `whole`, as a non-negative int;
+    InvalidSidecar naming `name` for anything else."""
+    try:
+        number = float(value)
+        if whole:
+            count = int(value)
+            if count >= 0 and float(count) == number:
+                return count
+        elif math.isfinite(number):
+            return number
+    except (TypeError, ValueError, OverflowError):
+        pass
+    kind = "a non-negative whole count" if whole else "a finite number"
+    raise InvalidSidecar(f"sidecar {name!r} must be {kind}, got {value!r}", name)
 
 
 def extract_features(
@@ -397,26 +467,27 @@ def extract_features(
             if all(fields.get(k) == v for k, v in t.where.items()):
                 yield fields[t.field]
 
-    def resolve(name, in_stream, cast, decoded=None):
-        """(value, source): the stream's value unless None, else the sidecar's,
-        else `decoded`, else MissingField(name)."""
+    def resolve(name, in_stream, whole, decoded=None):
+        """(value, source): the stream's value unless None, else the sidecar's
+        (a finite number, or a whole count when `whole`), else `decoded`,
+        else MissingField(name)."""
         if in_stream is not None:
             return in_stream, "slice-header"
         if name in sidecar:
-            return cast(sidecar[name]), "sidecar"
+            return _sidecar_value(name, sidecar[name], whole), "sidecar"
         if decoded is not None:
-            return cast(decoded), "decoded-cloud"
+            return int(decoded), "decoded-cloud"
         raise MissingField(name)
 
     raw = next(header_values("pqs"), None)
     pqs, _ = resolve("pqs", None if raw is None else float(
-        Fraction(raw, schema.targets["pqs"].divisor)), float)
-    qp, _ = resolve("qp", next(header_values("qp"), None), int)
+        Fraction(raw, schema.targets["pqs"].divisor)), whole=False)
+    qp, _ = resolve("qp", next(header_values("qp"), None), whole=True)
     attr_bits = [8 * len(u.payload) for u in units_of.get("attribute_data", ())]
-    texture_bits, _ = resolve("texture_bits", sum(attr_bits) if attr_bits else None, int)
+    texture_bits, _ = resolve("texture_bits", sum(attr_bits) if attr_bits else None, whole=True)
     slices = list(header_values("point_count"))  # one count per slice
-    pc, source = resolve("point_count", sum(slices) if slices else None, int,
-                         decoded_point_count)
+    pc, source = resolve("point_count", sum(slices) if slices else None, whole=True,
+                         decoded=decoded_point_count)
 
     features = BitstreamFeatures.from_counts(pqs, qp, texture_bits, pc, source)
     features.validate()

@@ -23,6 +23,7 @@ __all__ = [
     "TRAINING_VARIANT",
     "TrainingRecord",
     "FitDiagnostics",
+    "record_columns",
     "fit_line",
     "fit_quadratic",
     "stage_a_mos_vs_tqs",
@@ -36,6 +37,8 @@ __all__ = [
 # Default model variant of everything that trains: stage A fits
 # mos = alpha*tqs + beta, which is the alpha-times-tqs prediction.
 TRAINING_VARIANT = "alpha-times-tqs"
+
+_FIELDS = ("content", "pqs", "qp", "tbpp", "tc", "mos")
 
 
 @dataclass(frozen=True)
@@ -57,14 +60,10 @@ class FitDiagnostics:
 
 
 def read_training_csv(path) -> list:
-    out = []
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            out.append(TrainingRecord(
-                content=row["content"], pqs=float(row["pqs"]), qp=int(row["qp"]),
-                tbpp=float(row["tbpp"]), tc=float(row["tc"]), mos=float(row["mos"]),
-            ))
-    return out
+        return [TrainingRecord(row["content"], float(row["pqs"]), int(row["qp"]),
+                               float(row["tbpp"]), float(row["tc"]), float(row["mos"]))
+                for row in csv.DictReader(fh)]
 
 
 # ---------------------------------------------------------------------------
@@ -79,10 +78,10 @@ def fit_line(xs, ys):
         raise DegenerateDesign("need at least two points")
     xm, ym = xs.mean(), ys.mean()
     sxx = float(np.dot(xs - xm, xs - xm))
-    if sxx == 0.0:
+    if sxx == 0.0 or np.all(xs == xs[0]):  # rounding can leave sxx > 0 on equal x
         raise DegenerateDesign("all x values identical")
     slope = float(np.dot(xs - xm, ys - ym)) / sxx
-    return slope, ym - slope * xm
+    return slope, float(ym - slope * xm)
 
 
 def fit_quadratic(xs, ys):
@@ -109,35 +108,46 @@ def _rss_line(xs, ys, slope, intercept):
     return float(r @ r)
 
 
-def _fit_groups(stage, records, group_of, x_of, y_of, diagnostics):
-    """fit_line per group of `records`; returns {group: (slope, intercept)}.
+def record_columns(records):
+    """The fields of `records` as the columns (`.content`, `.pqs`, ...) of one
+    record array, in record order; a record array is returned as it is."""
+    if isinstance(records, np.recarray):
+        return records
+    return np.rec.fromarrays([np.array([getattr(r, k) for r in records]) for k in _FIELDS],
+                             names=_FIELDS)
 
-    Records are sorted once by a canonical key, so every group's rows come
-    in the same order whatever the input order and the fits are
-    permutation-invariant.  Groups are fitted in sorted key order;
-    degenerate ones are skipped and reported in `diagnostics`, which also
-    gets the stage's RSS and sample count over the fitted groups.
-    """
-    groups: dict = {}
-    for r in sorted(records, key=lambda r: (r.content, r.pqs, r.qp, r.tbpp, r.mos)):
-        groups.setdefault(group_of(r), []).append(r)
-    out = {}
-    rss = 0.0
-    n = 0
-    for key in sorted(groups):
-        xs = [x_of(r) for r in groups[key]]
-        ys = [y_of(r) for r in groups[key]]
-        try:
-            slope, intercept = fit_line(xs, ys)
-        except DegenerateDesign as exc:
-            diagnostics.skipped_groups.append((stage, key, str(exc)))
-            continue
-        out[key] = (slope, intercept)
-        rss += _rss_line(xs, ys, slope, intercept)
-        n += len(xs)
-    diagnostics.stage_rss[stage] = rss
-    diagnostics.stage_samples[stage] = n
-    return out
+
+def _canonical(records):
+    """Record columns sorted by (content, pqs, qp, tbpp, mos): every sum over
+    a group's rows runs in the same order whatever the input order."""
+    cols = record_columns(records)
+    return cols[np.lexsort((cols.mos, cols.tbpp, cols.qp, cols.pqs, cols.content))]
+
+
+def _fit_groups(stage, keys, x, y, diagnostics):
+    """fit_line within each group of equal `keys` (a list of columns), all at
+    once from per-group sums; returns {key tuple: (slope, intercept)} in key
+    order.  Groups fit_line would refuse go to `diagnostics` with its reason;
+    so do the stage's RSS and sample count over the fitted groups."""
+    # every group id in 0..len(uniq)-1 occurs in g, so each bincount has one sum per group
+    uniq, first, g = np.unique(np.rec.fromarrays(keys), return_index=True, return_inverse=True)
+    n = np.bincount(g)
+    xm, ym = np.bincount(g, x) / n, np.bincount(g, y) / n
+    dx = x - xm[g]
+    sxx, sxy = np.bincount(g, dx * dx), np.bincount(g, dx * (y - ym[g]))
+    varies = np.bincount(g, x != x[first][g]) > 0
+    fitted = (n >= 2) & varies & (sxx != 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # the skipped groups' NaN
+        slope = sxy / sxx
+        intercept = ym - slope * xm
+        r = y - (slope[g] * x + intercept[g])
+    diagnostics.stage_rss[stage] = float(np.bincount(g, r * r)[fitted].sum())
+    diagnostics.stage_samples[stage] = int(n[fitted].sum())
+    keys, fits = uniq.tolist(), list(zip(slope.tolist(), intercept.tolist()))
+    diagnostics.skipped_groups += [
+        (stage, keys[i], "need at least two points" if n[i] < 2 else "all x values identical")
+        for i in np.flatnonzero(~fitted)]
+    return {keys[i]: fits[i] for i in np.flatnonzero(fitted)}
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +160,8 @@ def stage_a_mos_vs_tqs(records, diagnostics: FitDiagnostics | None = None):
     Returns {(content, pqs): (alpha_obs, beta_obs)}; degenerate groups are
     skipped and reported in diagnostics.
     """
-    out = _fit_groups("A", records, lambda r: (r.content, r.pqs),
-                      lambda r: tqs_from_qp(r.qp), lambda r: r.mos,
+    cols = _canonical(records)
+    out = _fit_groups("A", [cols.content, cols.pqs], tqs_from_qp(cols.qp), cols.mos,
                       diagnostics or FitDiagnostics())
     if not out:
         raise DegenerateDesign("no (content, pqs) group could be fitted")
@@ -162,8 +172,8 @@ def stage_b_tc_model(records, diagnostics: FitDiagnostics | None = None):
     """Fit the tc ~ H(qp)*tbpp + J(qp) chain; returns (a1, a2, a3, b1, b2)."""
     diagnostics = diagnostics or FitDiagnostics()
     # (H_obs, J_obs) per (pqs, qp) cell, pooled across pqs below
-    cells = _fit_groups("B", records, lambda r: (r.pqs, r.qp),
-                        lambda r: r.tbpp, lambda r: r.tc, diagnostics)
+    cols = _canonical(records)
+    cells = _fit_groups("B", [cols.pqs, cols.qp], cols.tbpp, cols.tc, diagnostics)
     qps = [qp for _pqs, qp in cells]
     if len(set(qps)) < 3:
         raise DegenerateDesign("need cells at three or more distinct qp values")
@@ -176,11 +186,9 @@ def stage_b_tc_model(records, diagnostics: FitDiagnostics | None = None):
 def stage_c_alpha_tc(alpha_by_group, tc_by_content, diagnostics: FitDiagnostics | None = None):
     """Fit alpha_obs = c*tc + d, pooled over every pqs level."""
     diagnostics = diagnostics or FitDiagnostics()
-    xs, ys = [], []
-    for (content, _pqs), (alpha_obs, _beta) in sorted(alpha_by_group.items()):
-        if content in tc_by_content:
-            xs.append(tc_by_content[content])
-            ys.append(alpha_obs)
+    groups = [k for k in sorted(alpha_by_group) if k[0] in tc_by_content]
+    xs = [tc_by_content[content] for content, _pqs in groups]
+    ys = [alpha_by_group[k][0] for k in groups]
     c, d = fit_line(xs, ys)
     diagnostics.stage_rss["C"] = _rss_line(xs, ys, c, d)
     diagnostics.stage_samples["C"] = len(xs)
@@ -208,15 +216,14 @@ def stage_d_beta_pqs(alpha_by_group, diagnostics: FitDiagnostics | None = None):
 
 def train_full(records, variant: str = TRAINING_VARIANT):
     """Run stages A through D; returns (ModelParams, FitDiagnostics)."""
-    records = list(records)
-    if len({r.pqs for r in records}) < 2 or len({r.qp for r in records}) < 2:
+    cols = _canonical(records)
+    if len(np.unique(cols.pqs)) < 2 or len(np.unique(cols.qp)) < 2:
         raise DegenerateDesign("training data must span two pqs and two qp levels")
     diag = FitDiagnostics()
-    alpha_by_group = stage_a_mos_vs_tqs(records, diag)
-    a1, a2, a3, b1, b2 = stage_b_tc_model(records, diag)
-    tc_by_content = {}
-    for r in records:
-        tc_by_content.setdefault(r.content, r.tc)
+    alpha_by_group = stage_a_mos_vs_tqs(cols, diag)
+    a1, a2, a3, b1, b2 = stage_b_tc_model(cols, diag)
+    contents, first = np.unique(cols.content, return_index=True)
+    tc_by_content = dict(zip(contents.tolist(), cols.tc[first].tolist()))
     c, d = stage_c_alpha_tc(alpha_by_group, tc_by_content, diag)
     f1, f2 = stage_d_beta_pqs(alpha_by_group, diag)
     params = ModelParams(a1=a1, a2=a2, a3=a3, b1=b1, b2=b2,

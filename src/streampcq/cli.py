@@ -66,11 +66,9 @@ def cmd_extract(args) -> int:
     schema = _load_schema(args.schema)
     rows, failures = [], []
     for stream in args.streams:
-        sidecar = None
         meta = Path(args.sidecar_dir or Path(stream).parent) / (Path(stream).name + ".meta.json")
-        if meta.exists():
-            sidecar = json.loads(meta.read_text())
         try:
+            sidecar = bs.load_sidecar(meta) if meta.exists() else None
             feats = bs.extract_features(Path(stream).read_bytes(), schema, sidecar)
         except (StreamPcqError, OSError) as exc:
             failures.append((stream, str(exc)))

@@ -36,6 +36,29 @@ class UnrepresentableField(StreamPcqError):
     pass
 
 
+class InvalidFeature(StreamPcqError, ValueError):
+    """A feature tuple no stream can carry (non-finite pqs, negative texture bits)."""
+
+
+class InvalidSidecar(StreamPcqError, ValueError):
+    """A sidecar file that is not one JSON object, or a sidecar value of the
+    wrong kind; `field` names the value."""
+
+    def __init__(self, message, field=None):
+        self.field = field
+        super().__init__(message)
+
+
+# --- schema and parameter files ---
+
+class InvalidSchema(StreamPcqError, ValueError):
+    pass
+
+
+class InvalidParams(StreamPcqError, ValueError):
+    pass
+
+
 # --- point cloud ---
 
 class UnsupportedPly(StreamPcqError):

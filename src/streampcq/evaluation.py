@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import DegenerateDesign, StreamPcqError, ZeroVariance
-from .calibration import TRAINING_VARIANT, train_full
+from .calibration import TRAINING_VARIANT, record_columns, train_full
 from .model import predict as model_predict
 
 __all__ = [
@@ -240,11 +239,9 @@ def evaluate(pairs: ScorePairSet) -> EvalReport:
 def _held_out(records, train_contents, variant):
     """Train on `train_contents`, score every other record in one call, evaluate."""
     train = [r for r in records if r.content in train_contents]
-    test = [r for r in records if r.content not in train_contents]
+    test = record_columns([r for r in records if r.content not in train_contents])
     params, _diag = train_full(train, variant=variant)
-    col = {k: np.array([getattr(r, k) for r in test]) for k in ("pqs", "qp", "tbpp", "mos")}
-    preds = model_predict(params, SimpleNamespace(**col)).pmos
-    return evaluate(ScorePairSet(preds, col["mos"]))
+    return evaluate(ScorePairSet(model_predict(params, test).pmos, test.mos))
 
 
 def _mean_std(rows):

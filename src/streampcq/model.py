@@ -15,11 +15,12 @@ Every function takes scalars or numpy arrays alike.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict
+import numbers
+from dataclasses import dataclass, asdict, fields
 
 import numpy as np
 
-from .errors import NonPositivePqs
+from .errors import InvalidParams, NonPositivePqs
 
 __all__ = [
     "VARIANTS",
@@ -56,7 +57,11 @@ class ModelParams:
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
+            raise InvalidParams(f"unknown variant {self.variant!r}")
+        bad = [f.name for f in fields(self)
+               if f.name != "variant" and not isinstance(getattr(self, f.name), numbers.Real)]
+        if bad:
+            raise InvalidParams(f"coefficients must be numbers: {', '.join(bad)}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -67,13 +72,18 @@ class ModelParams:
 
     @classmethod
     def load(cls, path) -> "ModelParams":
-        if str(path).endswith(".toml"):
-            import tomllib
+        """Read JSON or TOML parameters; InvalidParams if they do not parse or
+        are not one table of known names and valid values."""
+        with open(path, "rb") as fh:
+            text = fh.read()
+        try:
+            if str(path).endswith(".toml"):
+                import tomllib
 
-            with open(path, "rb") as fh:
-                return cls.from_dict(tomllib.load(fh))
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+                return cls.from_dict(tomllib.loads(text.decode()))
+            return cls.from_dict(json.loads(text))
+        except (TypeError, ValueError) as exc:
+            raise InvalidParams(f"params {path}: {exc}") from exc
 
     def save(self, path):
         with open(path, "w") as fh:

@@ -8,8 +8,12 @@ from streampcq import bitstream as bs
 from streampcq.errors import (
     BitstreamExhausted,
     EmptyInput,
+    InvalidFeature,
+    InvalidSchema,
+    InvalidSidecar,
     MissingField,
     NonPositivePqs,
+    StreamPcqError,
     TruncatedUnit,
     UnrepresentableField,
     ZeroPointCount,
@@ -452,3 +456,117 @@ def test_synthesized_stream_carries_the_selected_label():
     assert bs.extract_features(bs.synthesize_bitstream(f, schema), schema) == f
     with pytest.raises(MissingField):
         bs.extract_features(bs.synthesize_bitstream(f, SCHEMA), schema)
+
+
+# ---------------------------------------------------------------------------
+# Malformed sidecars and schemas
+
+
+def header_only_stream():
+    """A stream with no unit the default schema reads: every feature comes
+    from the sidecar."""
+    return bs.write_tlv_units([bs.TlvUnit(2, b"\x00")], SCHEMA)
+
+
+GOOD_SIDECAR = {"pqs": 0.5, "qp": 34, "texture_bits": 800, "point_count": 100}
+
+
+@pytest.mark.parametrize("name, value", [
+    ("texture_bits", None), ("qp", "x"), ("pqs", "nan"), ("pqs", "inf"), ("pqs", float("-inf")),
+    ("point_count", 1.5), ("texture_bits", -8), ("qp", [34]), ("point_count", "1e400"),
+    ("texture_bits", 10**400),
+])
+def test_bad_sidecar_value_names_its_field(name, value):
+    with pytest.raises(InvalidSidecar) as ei:
+        bs.extract_features(header_only_stream(), SCHEMA, {**GOOD_SIDECAR, name: value})
+    assert ei.value.field == name
+    assert repr(name) in str(ei.value)
+
+
+def test_sidecar_numbers_in_any_exact_spelling_are_accepted():
+    got = bs.extract_features(header_only_stream(), SCHEMA,
+                              {"pqs": "0.5", "qp": "34", "texture_bits": 800.0, "point_count": 100})
+    assert got == feats(0.5, 34, 800, 100, source="sidecar")
+    assert type(got.texture_bits) is int
+
+
+@pytest.mark.parametrize("pqs, texture_bits", [
+    (math.nan, 8), (math.inf, 8), (1.0, -8),
+])
+def test_validate_rejects_non_finite_pqs_and_negative_texture_bits(pqs, texture_bits):
+    with pytest.raises(InvalidFeature):
+        feats(pqs, 22, texture_bits, 1).validate()
+
+
+@pytest.mark.parametrize("text", ['{"pqs": ', "[1, 2]", '"pqs"', "\udcff"])
+def test_load_sidecar_wants_one_json_object(tmp_path, text):
+    path = tmp_path / "s.bin.meta.json"
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    with pytest.raises(InvalidSidecar, match="s.bin.meta.json"):
+        bs.load_sidecar(path)
+
+
+def test_load_sidecar_reads_the_object(tmp_path):
+    path = tmp_path / "s.bin.meta.json"
+    path.write_text(json.dumps(GOOD_SIDECAR))
+    assert bs.load_sidecar(path) == GOOD_SIDECAR
+
+
+@pytest.mark.parametrize("name, text", [
+    ("s.json", '{"framing": 3}'),
+    ("s.json", "[]"),
+    ("s.json", "{"),
+    ("s.json", '{"framing": {"type_bytes": "1"}}'),
+    ("s.json", '{"framing": {"length_endian": "middle"}}'),
+    ("s.json", '{"unit_codes": {"sequence_params": "1"}}'),
+    ("s.json", '{"field_paths": {"sequence_params": [{"kind": "ue"}]}}'),
+    ("s.json", '{"field_paths": {"sequence_params": [{"name": "x", "kind": "u", "width": 2.5}]}}'),
+    ("s.json", '{"field_paths": {"sequence_params": [{"name": "x", "kind": "v"}]}}'),
+    ("s.json", '{"targets": {"pqs": {"unit_class": "s", "field": "x", "divisor": 0}}}'),
+    ("s.json", '{"targets": {"pqs": {"field": "x"}}}'),
+    ("s.json", '{"targets": {"qp": {"unit_class": "a", "field": "b", "where": 3}}}'),
+    ("s.toml", "framing = 3"),
+    ("s.toml", "[framing"),
+])
+def test_malformed_schema_file_fails_typed(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(InvalidSchema, match=name):
+        bs.SyntaxSchema.load(path)
+
+
+# ---------------------------------------------------------------------------
+# Extraction fuzz: only a StreamPcqError escapes, and any tuple is valid
+
+SIDECAR_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(min_value=-(10**400), max_value=10**400),
+    st.floats(), st.text(max_size=6), st.lists(st.integers(), max_size=2))
+SIDECARS = st.none() | st.dictionaries(
+    st.sampled_from(["pqs", "qp", "texture_bits", "point_count", "other"]), SIDECAR_VALUES)
+
+
+@st.composite
+def fuzzed_streams(draw):
+    kind = draw(st.sampled_from(["random", "truncated", "mutated"]))
+    if kind == "random":
+        return draw(st.binary(max_size=64))
+    f = feats(draw(st.sampled_from([0.125, 0.25, 0.5, 1.0])), draw(st.integers(0, 63)),
+              8 * draw(st.integers(0, 40)), draw(st.integers(1, 10**6)))
+    data = bytearray(bs.synthesize_bitstream(f, SCHEMA))
+    if kind == "truncated":
+        return bytes(data[: draw(st.integers(0, len(data) - 1))])
+    for _ in range(draw(st.integers(1, 6))):
+        data[draw(st.integers(0, len(data) - 1))] = draw(st.integers(0, 255))
+    return bytes(data)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(fuzzed_streams(), SIDECARS)
+def test_extraction_fuzz_fails_only_typed(data, sidecar):
+    try:
+        got = bs.extract_features(data, SCHEMA, sidecar)
+    except StreamPcqError:
+        return
+    got.validate()
+    assert all(type(v) is int for v in (got.qp, got.texture_bits, got.point_count))
+    assert math.isfinite(got.pqs) and math.isfinite(got.tbpp)

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import make_synthetic_records
+from streampcq import calibration as cal
 from streampcq.calibration import (
     FitDiagnostics,
     TrainingRecord,
@@ -40,6 +43,7 @@ def test_fit_line_hand_computed():
     slope, intercept = fit_line([1, 2, 3], [1, 2, 4])
     assert slope == pytest.approx(1.5, abs=1e-12)
     assert intercept == pytest.approx(-2.0 / 3.0, abs=1e-12)
+    assert type(slope) is float and type(intercept) is float
 
 
 def test_fit_line_degenerate():
@@ -47,6 +51,9 @@ def test_fit_line_degenerate():
         fit_line([2, 2, 2], [1, 2, 3])
     with pytest.raises(DegenerateDesign):
         fit_line([1], [1])
+    # the mean of three 0.1s is not 0.1, so the centred x are tiny, not zero
+    with pytest.raises(DegenerateDesign, match="all x values identical"):
+        fit_line([0.1, 0.1, 0.1], [1.0, 2.0, 4.0])
 
 
 def test_fit_quadratic_exact_parabola():
@@ -221,3 +228,95 @@ def test_train_full_diagnostics_per_stage(synthetic_records):
 def test_train_full_defaults_to_the_variant_stage_a_fits(synthetic_records):
     params, _ = train_full(synthetic_records)
     assert params.variant == "alpha-times-tqs"
+
+
+def test_first_tc_per_content_does_not_depend_on_record_order(synthetic_records):
+    rng = np.random.default_rng(8)
+    jittered = [dataclasses.replace(r, tc=r.tc + rng.normal(0.0, 1.0)) for r in synthetic_records]
+    p1, _ = train_full(jittered)
+    rng.shuffle(jittered)
+    p2, _ = train_full(jittered)
+    assert params_tuple(p1) == params_tuple(p2)
+
+
+# ---------------------------------------------------------------------------
+# The grouped fit against one fit_line call per group
+
+
+def random_panel(rng):
+    """Records over a few contents, pqs and qp levels, with singleton groups,
+    groups of one qp (constant tqs), cells of one tbpp and repeated rows."""
+    records = []
+    for ci in range(int(rng.integers(1, 5))):
+        for pqs in rng.choice([0.125, 0.25, 0.5, 1.0], size=int(rng.integers(1, 4)), replace=False):
+            qps = rng.choice([22, 28, 34, 40, 46], size=int(rng.integers(1, 6)), replace=False)
+            for qp in qps[: int(rng.integers(1, len(qps) + 1))]:
+                tbpp = 0.1 if rng.random() < 0.3 else float(rng.uniform(0.05, 3.0))
+                for _ in range(int(rng.integers(1, 3))):
+                    records.append(TrainingRecord(f"c{ci}", float(pqs), int(qp), tbpp,
+                                                  float(rng.uniform(5, 150)),
+                                                  float(rng.uniform(10, 90))))
+    return records
+
+
+def per_group_fit_line(stage, records, group_of, x_of, y_of):
+    """The reference: records grouped in Python, fit_line once per group."""
+    groups = {}
+    for r in sorted(records, key=lambda r: (r.content, r.pqs, r.qp, r.tbpp, r.mos)):
+        groups.setdefault(group_of(r), []).append(r)
+    fits, diag = {}, FitDiagnostics()
+    rss = n = 0
+    for key in sorted(groups):
+        xs = np.array([x_of(r) for r in groups[key]])
+        ys = np.array([y_of(r) for r in groups[key]])
+        try:
+            fits[key] = fit_line(xs, ys)
+        except DegenerateDesign as exc:
+            diag.skipped_groups.append((stage, key, str(exc)))
+            continue
+        rss += float(np.sum((ys - (fits[key][0] * xs + fits[key][1])) ** 2))
+        n += len(xs)
+    diag.stage_rss[stage], diag.stage_samples[stage] = rss, n
+    return fits, diag
+
+
+def grouped(stage, records):
+    cols = cal._canonical(records)
+    diag = FitDiagnostics()
+    if stage == "A":
+        fits = cal._fit_groups("A", [cols.content, cols.pqs], tqs_from_qp(cols.qp), cols.mos, diag)
+    else:
+        fits = cal._fit_groups("B", [cols.pqs, cols.qp], cols.tbpp, cols.tc, diag)
+    return fits, diag
+
+
+STAGE_GROUPS = {
+    "A": (lambda r: (r.content, r.pqs), lambda r: tqs_from_qp(r.qp), lambda r: r.mos),
+    "B": (lambda r: (r.pqs, r.qp), lambda r: r.tbpp, lambda r: r.tc),
+}
+
+
+@pytest.mark.parametrize("seed", range(40))
+@pytest.mark.parametrize("stage", ["A", "B"])
+def test_grouped_fit_matches_fit_line_per_group(stage, seed):
+    rng = np.random.default_rng(seed)
+    records = random_panel(rng)
+    want, want_diag = per_group_fit_line(stage, records, *STAGE_GROUPS[stage])
+    got, diag = grouped(stage, records)
+
+    assert list(got) == list(want)
+    for key, (slope, intercept) in want.items():
+        assert got[key][0] == pytest.approx(slope, rel=1e-12, abs=1e-12 * abs(intercept))
+        assert got[key][1] == pytest.approx(intercept, rel=1e-12)
+    assert diag.skipped_groups == want_diag.skipped_groups
+    assert diag.stage_samples == want_diag.stage_samples
+    assert diag.stage_rss[stage] == pytest.approx(want_diag.stage_rss[stage], rel=1e-9, abs=1e-20)
+    # skipped keys are plain Python values, so `train` prints them as it always did
+    for _stage, key, _reason in diag.skipped_groups:
+        assert [type(v) for v in key] == ([str, float] if stage == "A" else [float, int])
+
+    shuffled = list(records)
+    rng.shuffle(shuffled)
+    again, again_diag = grouped(stage, shuffled)
+    assert again == got and again_diag == diag
+

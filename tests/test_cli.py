@@ -85,6 +85,53 @@ def test_extract_zero_geometry_scale_is_an_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {stream}: pqs must be positive")
 
 
+SIDECAR = {"pqs": 1.0, "qp": 22, "texture_bits": 800, "point_count": 100}
+
+
+@pytest.mark.parametrize("meta, says", [
+    ('{"pqs": ', "Expecting value"),
+    ("[]", "not a JSON object"),
+    (json.dumps({**SIDECAR, "qp": "x"}), "'qp' must be"),
+    (json.dumps({**SIDECAR, "texture_bits": None}), "'texture_bits' must be"),
+    (json.dumps({**SIDECAR, "pqs": "nan"}), "'pqs' must be"),
+    (json.dumps({**SIDECAR, "point_count": 1.5}), "'point_count' must be"),
+])
+def test_extract_bad_sidecar_fails_only_its_stream(tmp_path, capsys, meta, says):
+    good, bad = tmp_path / "good.bin", tmp_path / "bad.bin"
+    run(["synth", "--pqs", 1, "--qp", 22, "--texture-bits", 800,
+         "--points", 100, "--out", good])
+    # a stream of no unit the schema reads: every feature comes from the sidecar
+    from streampcq import bitstream as bs
+    bad.write_bytes(bs.write_tlv_units([bs.TlvUnit(2, b"\x00")], bs.default_schema()))
+    (tmp_path / "bad.bin.meta.json").write_text(meta)
+    out = tmp_path / "o.csv"
+    assert run(["extract", good, bad, "--out", out]) == 1
+    assert [r["stream"] for r in read_csv(out)] == [str(good)]
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and says in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("via_env", [False, True])
+def test_malformed_schema_is_an_error_line(tmp_path, capsys, monkeypatch, via_env):
+    stream, schema = tmp_path / "fix.bin", tmp_path / "schema.json"
+    run(["synth", "--pqs", 1, "--qp", 22, "--texture-bits", 800,
+         "--points", 100, "--out", stream])
+    schema.write_text('{"framing": 3}')
+    if via_env:
+        monkeypatch.setenv("STREAMPCQ_SCHEMA", str(schema))
+    argv = ["extract", stream] + ([] if via_env else ["--schema", schema])
+    assert run(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: schema {schema}: ")
+
+
+def test_malformed_params_is_an_error_line(tmp_path, capsys):
+    feat, params = tmp_path / "features.csv", tmp_path / "params.json"
+    feat.write_text("stream,pqs,qp,tbpp\ns,1.0,22,0.5\n")
+    params.write_text('{"variant": "nope"}')
+    assert run(["score", feat, "--params", params]) == 1
+    assert capsys.readouterr().err == f"error: params {params}: unknown variant 'nope'\n"
+
+
 def test_extract_bad_file_nonzero_exit(tmp_path):
     bad = tmp_path / "bad.bin"
     bad.write_bytes(b"\x02\x00\x00\x00\x05\xaa")
@@ -152,6 +199,8 @@ def test_train_eval_pipeline(tmp_path):
                 "--diagnostics", tmp_path / "diag.csv"]) == 0
     got = ModelParams.load(params_path)
     ref = ModelParams()
+    for row in read_csv(tmp_path / "diag.csv"):
+        [float(v) for v in row["coefficients"].split()]  # plain numbers, not numpy reprs
     assert got.a1 == pytest.approx(ref.a1, abs=1e-6)
     assert got.f2 == pytest.approx(ref.f2, abs=1e-6)
 

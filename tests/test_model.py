@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from streampcq.bitstream import BitstreamFeatures
-from streampcq.errors import NonPositivePqs
+from streampcq.errors import InvalidParams, NonPositivePqs
 from streampcq.model import (
     ModelParams,
     alpha_from_tc,
@@ -149,3 +149,20 @@ def test_params_toml_loads_like_its_json_twin(tmp_path):
 def test_params_unknown_variant_rejected():
     with pytest.raises(ValueError):
         ModelParams(variant="bogus")
+
+
+@pytest.mark.parametrize("name, text", [
+    ("p.json", '{"variant": "nope"}'),
+    ("p.json", "[1]"),
+    ("p.json", "{"),
+    ("p.json", '{"zz": 1}'),
+    ("p.json", '{"a1": "x"}'),
+    ("p.json", '{"c": null}'),
+    ("p.toml", "nope"),
+    ("p.toml", 'c = "x"'),
+])
+def test_malformed_params_file_fails_typed(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(InvalidParams, match=name):
+        ModelParams.load(path)
