@@ -1,13 +1,15 @@
 """Partial G-PCC bitstream parser.
 
 TLV demultiplexing plus bit-level header decoding driven by a declarative
-syntax schema.  Only header prefixes are decoded; entropy-coded payload
-bodies are never touched, which is what makes feature extraction cheap
-enough to run at any network node.
+syntax schema.  Extraction indexes the TLV units of a stream by reading
+their headers alone, then reads from each unit only the prefix its header
+fields can occupy; entropy-coded payload bodies are never read, which is
+what makes feature extraction cheap enough to run at any network node.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -25,6 +27,7 @@ from .errors import (
     UnrepresentableField,
     ZeroPointCount,
 )
+from .model import check_qp
 
 __all__ = [
     "TlvUnit",
@@ -58,6 +61,11 @@ def _positive_int(v) -> bool:
     return isinstance(v, int) and v > 0
 
 
+# An Exp-Golomb ue(v)/se(v) codeword with more leading zero bits than this is
+# rejected, so one such field spans at most 2 * UE_MAX_LEADING_ZEROS + 1 bits.
+UE_MAX_LEADING_ZEROS = 32
+
+
 @dataclass(frozen=True)
 class TlvUnit:
     unit_type: int
@@ -76,6 +84,11 @@ class FieldSpec:
         _require(self.kind in ("u", "ue", "se"), f"unsupported descriptor kind {self.kind!r}")
         _require(self.kind != "u" or _positive_int(self.width),
                  f"u(n) descriptor {self.name!r} needs a positive integer width")
+
+    @property
+    def max_bits(self) -> int:
+        """The most bits decoding this field can consume, valid or not."""
+        return self.width if self.kind == "u" else 2 * UE_MAX_LEADING_ZEROS + 1
 
 
 @dataclass(frozen=True)
@@ -251,8 +264,9 @@ class BitReader:
         zeros = 0
         while not self.read_bits(1, field):
             zeros += 1
-            if zeros > 32:
-                raise UnrepresentableField(f"ue(v) {field!r}: more than 32 leading zero bits")
+            if zeros > UE_MAX_LEADING_ZEROS:
+                raise UnrepresentableField(
+                    f"ue(v) {field!r}: more than {UE_MAX_LEADING_ZEROS} leading zero bits")
         return (1 << zeros) - 1 + self.read_bits(zeros, field)
 
     def read_se(self, field=None) -> int:
@@ -295,27 +309,49 @@ class BitWriter:
 # TLV framing
 
 
-def read_tlv_units(data: bytes, schema: SyntaxSchema) -> list:
-    if not data:
+def _unit_index(fh, schema: SyntaxSchema) -> list:
+    """(unit_type, body_offset, body_length) of every TLV unit of the seekable
+    binary file `fh`, in stream order.  Reads each TLV header and seeks past
+    its body."""
+    size = fh.seek(0, io.SEEK_END)
+    if not size:
         raise EmptyInput("empty bitstream")
-    units = []
+    index = []
     off = 0
     hdr = schema.type_bytes + schema.length_bytes
-    while off < len(data):
-        if off + hdr > len(data):
+    while off < size:
+        if off + hdr > size:
             raise TruncatedUnit(f"incomplete TLV header at byte {off}")
-        utype = int.from_bytes(data[off : off + schema.type_bytes], "big")
-        length = int.from_bytes(
-            data[off + schema.type_bytes : off + hdr], schema.length_endian
-        )
+        fh.seek(off)
+        head = fh.read(hdr)
+        utype = int.from_bytes(head[: schema.type_bytes], "big")
+        length = int.from_bytes(head[schema.type_bytes :], schema.length_endian)
         off += hdr
-        if off + length > len(data):
+        if off + length > size:
             raise TruncatedUnit(
-                f"unit type {utype} declares {length} bytes, only {len(data) - off} remain"
+                f"unit type {utype} declares {length} bytes, only {size - off} remain"
             )
-        units.append(TlvUnit(utype, data[off : off + length]))
+        index.append((utype, off, length))
         off += length
-    return units
+    return index
+
+
+def _seekable(data):
+    """A seekable binary file over `data`: the bytes themselves, or the file
+    at path `data`, read whole only when it cannot seek (a pipe)."""
+    if isinstance(data, (bytes, bytearray)):
+        return io.BytesIO(data)
+    fh = open(data, "rb")
+    if fh.seekable():
+        return fh
+    with fh:
+        return io.BytesIO(fh.read())
+
+
+def read_tlv_units(data: bytes, schema: SyntaxSchema) -> list:
+    with io.BytesIO(data) as fh:
+        index = _unit_index(fh, schema)
+    return [TlvUnit(utype, data[off : off + length]) for utype, off, length in index]
 
 
 def write_tlv_units(units, schema: SyntaxSchema) -> bytes:
@@ -373,6 +409,7 @@ class BitstreamFeatures:
             raise NonPositivePqs(f"pqs must be positive, got {self.pqs}")
         if not math.isfinite(self.pqs):
             raise InvalidFeature(f"pqs must be finite, got {self.pqs}")
+        check_qp(self.qp)
         if self.texture_bits < 0:
             raise InvalidFeature(f"texture_bits must not be negative, got {self.texture_bits}")
         if self.point_count <= 0:
@@ -429,43 +466,24 @@ def _sidecar_value(name, value, whole):
 
 
 def extract_features(
-    data: bytes,
+    data,
     schema: SyntaxSchema | None = None,
     sidecar: dict | None = None,
     decoded_point_count: int | None = None,
     trace: list | None = None,
 ) -> BitstreamFeatures:
-    """Pull (PQS, QP, texture bits, point count, TBPP) out of a bitstream.
+    """Pull (PQS, QP, texture bits, point count, TBPP) out of a bitstream:
+    `data` is the stream's bytes or the path of a file holding it.
 
-    Only declared header prefixes are bit-decoded; attribute and geometry
-    payload bodies contribute length information alone.  `sidecar` supplies
-    fallbacks for any target the schema cannot locate.  `trace`, when given,
-    collects (unit_class, bits_consumed, payload_bits) per parsed unit.
+    Only TLV headers and declared header prefixes are read; attribute and
+    geometry payload bodies contribute length information alone.  `sidecar`
+    supplies fallbacks for any target the schema cannot locate.  `trace`,
+    when given, collects (unit_class, bits_consumed, payload_bits) per parsed
+    unit.
     """
     schema = schema or default_schema()
     sidecar = sidecar or {}
-    units = read_tlv_units(data, schema)
-
     class_of = {c: name for name, c in schema.unit_codes.items()}
-    units_of: dict = {}
-    for u in units:
-        cls = class_of.get(u.unit_type)
-        if cls is not None:
-            units_of.setdefault(cls, []).append(u)
-
-    def header_values(feature: str):
-        """The target field of `feature` from each matching unit of its class, in stream order."""
-        t = schema.targets.get(feature)
-        path = schema.field_paths.get(t.unit_class) if t is not None else None
-        if not path or t.field not in {f.name for f in path}:
-            return
-        for unit in units_of.get(t.unit_class, ()):
-            reader = BitReader(unit.payload)
-            fields = parse_header(unit.payload, path, reader=reader)
-            if trace is not None:
-                trace.append((t.unit_class, reader.bits_consumed, 8 * len(unit.payload)))
-            if all(fields.get(k) == v for k, v in t.where.items()):
-                yield fields[t.field]
 
     def resolve(name, in_stream, whole, decoded=None):
         """(value, source): the stream's value unless None, else the sidecar's
@@ -479,15 +497,40 @@ def extract_features(
             return int(decoded), "decoded-cloud"
         raise MissingField(name)
 
-    raw = next(header_values("pqs"), None)
-    pqs, _ = resolve("pqs", None if raw is None else float(
-        Fraction(raw, schema.targets["pqs"].divisor)), whole=False)
-    qp, _ = resolve("qp", next(header_values("qp"), None), whole=True)
-    attr_bits = [8 * len(u.payload) for u in units_of.get("attribute_data", ())]
-    texture_bits, _ = resolve("texture_bits", sum(attr_bits) if attr_bits else None, whole=True)
-    slices = list(header_values("point_count"))  # one count per slice
-    pc, source = resolve("point_count", sum(slices) if slices else None, whole=True,
-                         decoded=decoded_point_count)
+    with _seekable(data) as fh:
+        units_of: dict = {}  # unit class -> [(body_offset, body_length)]
+        for utype, off, length in _unit_index(fh, schema):
+            cls = class_of.get(utype)
+            if cls is not None:
+                units_of.setdefault(cls, []).append((off, length))
+
+        def header_values(feature: str):
+            """The target field of `feature` from each matching unit of its class, in stream order."""
+            t = schema.targets.get(feature)
+            path = schema.field_paths.get(t.unit_class) if t is not None else None
+            if not path or t.field not in {f.name for f in path}:
+                return
+            prefix = (sum(f.max_bits for f in path) + 7) // 8  # bytes the path can consume
+            for off, length in units_of.get(t.unit_class, ()):
+                fh.seek(off)
+                head = fh.read(min(length, prefix))
+                reader = BitReader(head)
+                fields = parse_header(head, path, reader=reader)
+                if trace is not None:
+                    trace.append((t.unit_class, reader.bits_consumed, 8 * length))
+                if all(fields.get(k) == v for k, v in t.where.items()):
+                    yield fields[t.field]
+
+        raw = next(header_values("pqs"), None)
+        pqs, _ = resolve("pqs", None if raw is None else float(
+            Fraction(raw, schema.targets["pqs"].divisor)), whole=False)
+        qp, _ = resolve("qp", next(header_values("qp"), None), whole=True)
+        attr_bits = [8 * length for _, length in units_of.get("attribute_data", ())]
+        texture_bits, _ = resolve("texture_bits", sum(attr_bits) if attr_bits else None,
+                                  whole=True)
+        slices = list(header_values("point_count"))  # one count per slice
+        pc, source = resolve("point_count", sum(slices) if slices else None, whole=True,
+                             decoded=decoded_point_count)
 
     features = BitstreamFeatures.from_counts(pqs, qp, texture_bits, pc, source)
     features.validate()
@@ -498,6 +541,8 @@ def extract_features(
 # Synthetic writer (test fixtures)
 
 _PAYLOAD_FILL = b"\xab"  # filler byte of every payload body
+_SYNTHESIZED_UNITS = ("sequence_params", "geometry_params", "attribute_params",
+                      "geometry_data", "attribute_data")
 
 
 def synthesize_bitstream(
@@ -511,6 +556,10 @@ def synthesize_bitstream(
     is a whole number of bytes.
     """
     schema = schema or default_schema()
+    missing = ["target 'pqs'"] if "pqs" not in schema.targets else []
+    missing += [f"unit code {c!r}" for c in _SYNTHESIZED_UNITS if c not in schema.unit_codes]
+    if missing:
+        raise InvalidSchema(f"cannot synthesize a stream: the schema has no {', '.join(missing)}")
     features.validate()
     if features.texture_bits % 8:
         raise UnrepresentableField("texture_bits must be a multiple of 8")

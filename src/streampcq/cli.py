@@ -22,8 +22,8 @@ from . import bitstream as bs
 from . import calibration as cal
 from . import evaluation as ev
 from . import pointcloud as pcio
-from .errors import StreamPcqError
-from .model import ModelParams, VARIANTS, predict
+from .errors import NonPositivePqs, StreamPcqError
+from .model import ModelParams, VARIANTS, check_qp, predict
 
 
 def _load_schema(path):
@@ -69,7 +69,7 @@ def cmd_extract(args) -> int:
         meta = Path(args.sidecar_dir or Path(stream).parent) / (Path(stream).name + ".meta.json")
         try:
             sidecar = bs.load_sidecar(meta) if meta.exists() else None
-            feats = bs.extract_features(Path(stream).read_bytes(), schema, sidecar)
+            feats = bs.extract_features(stream, schema, sidecar)
         except (StreamPcqError, OSError) as exc:
             failures.append((stream, str(exc)))
             continue
@@ -84,19 +84,26 @@ def cmd_extract(args) -> int:
 
 def cmd_score(args) -> int:
     params = _load_params(args.params, args.variant)
-    rows, failures = [], []
+    rows, inputs, failures = [], [], []
     with open(args.features, newline="") as fh:
         for i, row in enumerate(csv.DictReader(fh)):
             try:
-                pred = predict(params, SimpleNamespace(
-                    pqs=float(row["pqs"]), qp=int(row["qp"]), tbpp=float(row["tbpp"])))
+                pqs, qp, tbpp = float(row["pqs"]), int(row["qp"]), float(row["tbpp"])
+                if pqs <= 0:
+                    raise NonPositivePqs(f"pqs must be positive, got {pqs}")
+                check_qp(qp)
             except (StreamPcqError, KeyError, ValueError) as exc:
                 failures.append((i, str(exc)))
                 continue
-            pmos = min(100.0, max(0.0, pred.pmos)) if args.clamp else pred.pmos
-            rows.append([row.get("stream", str(i)), row["pqs"], row["qp"], row["tbpp"],
-                         repr(pmos), repr(pred.pmos_t), repr(pred.pmos_g),
-                         repr(pred.tc_est)])
+            inputs.append((pqs, qp, tbpp))
+            rows.append([row.get("stream", str(i)), row["pqs"], row["qp"], row["tbpp"]])
+    pqs, qp, tbpp = np.array(inputs, dtype=float).reshape(-1, 3).T
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan, as in scalar arithmetic
+        pred = predict(params, SimpleNamespace(pqs=pqs, qp=qp, tbpp=tbpp))
+    for row, pmos, *terms in zip(rows, pred.pmos.tolist(), pred.pmos_t.tolist(),
+                                 pred.pmos_g.tolist(), pred.tc_est.tolist()):
+        pmos = min(100.0, max(0.0, pmos)) if args.clamp else pmos
+        row += [repr(v) for v in (pmos, *terms)]
     _write_rows(args.out, ["stream", "pqs", "qp", "tbpp", "pmos", "pmos_t",
                            "pmos_g", "tc_est"], rows, args.json)
     for i, msg in failures:
@@ -294,7 +301,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except StreamPcqError as exc:
+    except (StreamPcqError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -16,14 +16,17 @@ from __future__ import annotations
 
 import json
 import numbers
+import sys
 from dataclasses import dataclass, asdict, fields
 
 import numpy as np
 
-from .errors import InvalidParams, NonPositivePqs
+from .errors import InvalidFeature, InvalidParams, NonPositivePqs
 
 __all__ = [
     "VARIANTS",
+    "QP_MAX",
+    "check_qp",
     "ModelParams",
     "QualityPrediction",
     "tqs_from_qp",
@@ -37,6 +40,9 @@ __all__ = [
 ]
 
 VARIANTS = ("eq11-literal", "alpha-times-tqs")
+
+# The largest QP whose quantization step tqs_from_qp(qp) is a finite float.
+QP_MAX = 4 + 6 * sys.float_info.max_exp - 1
 
 
 @dataclass(frozen=True)
@@ -103,6 +109,13 @@ class QualityPrediction:
 def tqs_from_qp(qp) -> float:
     """Texture quantization step: 2^((qp - 4) / 6)."""
     return 2.0 ** ((qp - 4) / 6.0)
+
+
+def check_qp(qp):
+    """InvalidFeature unless 0 <= qp <= QP_MAX: an attribute QP is never
+    negative, and above QP_MAX its quantization step overflows."""
+    if not 0 <= qp <= QP_MAX:
+        raise InvalidFeature(f"qp must be from 0 to {QP_MAX}, got {qp}")
 
 
 def h_of_qp(p: ModelParams, qp) -> float:

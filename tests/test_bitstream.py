@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +19,7 @@ from streampcq.errors import (
     UnrepresentableField,
     ZeroPointCount,
 )
+from streampcq.model import QP_MAX
 
 SCHEMA = bs.default_schema()
 
@@ -560,13 +562,144 @@ def fuzzed_streams(draw):
     return bytes(data)
 
 
+@pytest.fixture(scope="module")
+def stream_file(tmp_path_factory):
+    """One file path that a test rewrites for each stream it extracts."""
+    return tmp_path_factory.mktemp("streams") / "stream.bin"
+
+
+def extract_both_ways(data, stream_file, *args):
+    """extract_features of `data` as bytes and from a file: the features,
+    or the StreamPcqError raised; both forms must agree."""
+    stream_file.write_bytes(data)
+    results = []
+    for source in (data, stream_file):
+        try:
+            results.append(bs.extract_features(source, *args))
+        except StreamPcqError as exc:
+            results.append(exc)
+    from_bytes, from_path = results
+    if isinstance(from_bytes, StreamPcqError):
+        assert type(from_path) is type(from_bytes) and str(from_path) == str(from_bytes)
+        raise from_bytes
+    assert from_path == from_bytes
+    return from_bytes
+
+
 @settings(max_examples=1000, deadline=None)
 @given(fuzzed_streams(), SIDECARS)
-def test_extraction_fuzz_fails_only_typed(data, sidecar):
+def test_extraction_fuzz_fails_only_typed(stream_file, data, sidecar):
     try:
-        got = bs.extract_features(data, SCHEMA, sidecar)
+        got = extract_both_ways(data, stream_file, SCHEMA, sidecar)
     except StreamPcqError:
         return
     got.validate()
     assert all(type(v) is int for v in (got.qp, got.texture_bits, got.point_count))
     assert math.isfinite(got.pqs) and math.isfinite(got.tbpp)
+
+
+# ---------------------------------------------------------------------------
+# Reading from a file: TLV headers and header prefixes only
+
+
+def rchar() -> int:
+    """Bytes this process has read through the OS so far."""
+    with open("/proc/self/io") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("rchar:"))
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/io"), reason="needs /proc/self/io")
+def test_extraction_from_a_path_skips_payload_bodies(tmp_path):
+    code = SCHEMA.code_for
+    mib = 1 << 20
+    data = bs.write_tlv_units([
+        bs.TlvUnit(code("sequence_params"), header("sequence_params", geom_scale_num=4)),
+        bs.TlvUnit(code("attribute_params"), header("attribute_params", attr_initial_qp=34)),
+        bs.TlvUnit(code("geometry_data"), header("geometry_data", slice_point_count=10**6)
+                   + bytes(3 * mib)),
+        bs.TlvUnit(code("attribute_data"), bytes(4 * mib)),
+        bs.TlvUnit(code("geometry_data"), header("geometry_data", slice_id=1,
+                                                 slice_point_count=10**6) + bytes(2 * mib)),
+        bs.TlvUnit(code("attribute_data"), bytes(5 * mib)),
+    ], SCHEMA)
+    path = tmp_path / "big.bin"
+    path.write_bytes(data)
+    before = rchar()
+    got = bs.extract_features(path, SCHEMA)
+    read = rchar() - before
+    assert read < 64 * 1024, f"read {read} of {len(data)} bytes"
+    assert got == feats(0.5, 34, 8 * 9 * mib, 2 * 10**6)
+    assert got == bs.extract_features(data, SCHEMA)
+
+
+def test_longest_ue_decodes_the_same_from_a_path(stream_file):
+    # 32 leading zeros: two 65-bit codewords fill the geometry_data prefix
+    # exactly, and the body goes on past it
+    longest = 2**33 - 2
+    code = SCHEMA.code_for
+    units = [
+        bs.TlvUnit(code("sequence_params"), header("sequence_params", geom_scale_num=longest)),
+        bs.TlvUnit(code("attribute_params"), header("attribute_params", attr_initial_qp=34)),
+        bs.TlvUnit(code("geometry_data"), header("geometry_data", slice_id=longest,
+                                                 slice_point_count=longest) + b"\xff" * 64),
+        bs.TlvUnit(code("attribute_data"), bytes(100)),
+    ]
+    assert len(header("geometry_data", slice_id=longest, slice_point_count=longest)) == 17
+    trace = []
+    got = extract_both_ways(bs.write_tlv_units(units, SCHEMA), stream_file, SCHEMA, None, None,
+                            trace)
+    assert got == feats(longest / 8, 34, 800, longest)
+    assert ("geometry_data", 130, 8 * (17 + 64)) in trace
+    # one more leading zero is rejected the same way through both forms
+    units[2] = bs.TlvUnit(code("geometry_data"), bytes(4) + b"\x40" + b"\xff" * 64)
+    with pytest.raises(UnrepresentableField):
+        extract_both_ways(bs.write_tlv_units(units, SCHEMA), stream_file, SCHEMA)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_extraction_reads_a_pipe_whole():
+    data = bs.synthesize_bitstream(feats(0.5, 28, 8 * 300, 50), SCHEMA)
+    read_end, write_end = os.pipe()
+    with open(write_end, "wb") as fh:
+        fh.write(data)  # fits the pipe's buffer
+    try:
+        assert bs.extract_features(f"/dev/fd/{read_end}", SCHEMA) == feats(0.5, 28, 8 * 300, 50)
+    finally:
+        os.close(read_end)
+
+
+def test_read_tlv_units_keeps_every_body():
+    data = bs.synthesize_bitstream(feats(0.5, 28, 8 * 300, 50), SCHEMA)
+    units = bs.read_tlv_units(data, SCHEMA)
+    assert [u.unit_type for u in units] == [1, 2, 3, 4, 5, 5]
+    assert [len(u.payload) for u in units][-2:] == [150, 150]
+    assert bs.write_tlv_units(units, SCHEMA) == data
+
+
+# ---------------------------------------------------------------------------
+# QP bound and synthesizer schema checks
+
+
+def test_out_of_range_qp_is_an_invalid_feature():
+    with pytest.raises(InvalidFeature, match="qp must be from 0 to 6147"):
+        feats(0.5, QP_MAX + 1, 800, 100).validate()
+    with pytest.raises(InvalidFeature):
+        feats(0.5, -1, 800, 100).validate()
+    feats(0.5, QP_MAX, 800, 100).validate()
+    with pytest.raises(InvalidFeature, match="got 9000"):
+        bs.extract_features(header_only_stream(), SCHEMA, {**GOOD_SIDECAR, "qp": 9000})
+
+
+def without(table, key):
+    return {k: v for k, v in table.items() if k != key}
+
+
+@pytest.mark.parametrize("schema, says", [
+    ({"unit_codes": {}}, "no target 'pqs', unit code 'sequence_params', unit code 'geom"),
+    ({**SCHEMA.to_dict(), "targets": {}}, "no target 'pqs'$"),
+    ({**SCHEMA.to_dict(), "unit_codes": without(SCHEMA.unit_codes, "geometry_data")},
+     "no unit code 'geometry_data'$"),
+])
+def test_synthesize_names_what_the_schema_lacks(schema, says):
+    with pytest.raises(InvalidSchema, match=says):
+        bs.synthesize_bitstream(feats(0.5, 28, 800, 100), bs.SyntaxSchema.from_dict(schema))

@@ -1,12 +1,14 @@
 import csv
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from conftest import make_synthetic_records
+from streampcq import cli
 from streampcq.cli import build_parser, main
-from streampcq.model import ModelParams
+from streampcq.model import ModelParams, predict
 
 
 def run(argv):
@@ -95,6 +97,7 @@ SIDECAR = {"pqs": 1.0, "qp": 22, "texture_bits": 800, "point_count": 100}
     (json.dumps({**SIDECAR, "texture_bits": None}), "'texture_bits' must be"),
     (json.dumps({**SIDECAR, "pqs": "nan"}), "'pqs' must be"),
     (json.dumps({**SIDECAR, "point_count": 1.5}), "'point_count' must be"),
+    (json.dumps({**SIDECAR, "qp": 9000}), "qp must be from 0 to 6147, got 9000"),
 ])
 def test_extract_bad_sidecar_fails_only_its_stream(tmp_path, capsys, meta, says):
     good, bad = tmp_path / "good.bin", tmp_path / "bad.bin"
@@ -130,6 +133,29 @@ def test_malformed_params_is_an_error_line(tmp_path, capsys):
     params.write_text('{"variant": "nope"}')
     assert run(["score", feat, "--params", params]) == 1
     assert capsys.readouterr().err == f"error: params {params}: unknown variant 'nope'\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["score", "MISSING"],
+    ["score", "FEATURES", "--params", "MISSING"],
+    ["train", "MISSING", "--out-params", "p.json"],
+])
+def test_missing_input_file_is_an_error_line(tmp_path, capsys, argv):
+    feat, missing = tmp_path / "features.csv", tmp_path / "nothere.csv"
+    feat.write_text("stream,pqs,qp,tbpp\ns,1.0,22,0.5\n")
+    names = {"MISSING": missing, "FEATURES": feat, "p.json": tmp_path / "p.json"}
+    assert run([names.get(a, a) for a in argv]) == 1
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+
+
+def test_synth_incomplete_schema_is_an_error_line(tmp_path, capsys):
+    schema, stream = tmp_path / "schema.json", tmp_path / "fix.bin"
+    schema.write_text('{"unit_codes": {}}')
+    assert run(["synth", "--pqs", 1, "--qp", 22, "--texture-bits", 800,
+                "--points", 100, "--schema", schema, "--out", stream]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot synthesize a stream: the schema has no target 'pqs', ")
+    assert len(err.splitlines()) == 1 and not stream.exists()
 
 
 def test_extract_bad_file_nonzero_exit(tmp_path):
@@ -175,6 +201,36 @@ def test_score_malformed_row_skipped(tmp_path):
     out = tmp_path / "scores.csv"
     assert run(["score", feat, "--out", out]) == 1
     assert len(read_csv(out)) == 1
+
+
+def test_score_fails_only_rows_out_of_range(tmp_path, capsys):
+    feat = tmp_path / "features.csv"
+    feat.write_text("stream,pqs,qp,tbpp\ns1,0.25,46,0.5\ns2,0.25,9000,0.5\n"
+                    "s3,0.25,-1,0.5\ns4,0,22,0.5\ns5,0.5,6147,0.25\n")
+    out = tmp_path / "scores.csv"
+    assert run(["score", feat, "--out", out]) == 1
+    assert [r["stream"] for r in read_csv(out)] == ["s1", "s5"]
+    assert capsys.readouterr().err == (
+        "error: row 1: qp must be from 0 to 6147, got 9000\n"
+        "error: row 2: qp must be from 0 to 6147, got -1\n"
+        "error: row 3: pqs must be positive, got 0.0\n")
+
+
+def test_score_predicts_every_row_in_one_call(tmp_path, monkeypatch):
+    rows = [("a", 0.25, 46, 0.5), ("b", 1.0, 22, 3.25), ("c", 0.125, 37, 0.1)]
+    feat = tmp_path / "features.csv"
+    feat.write_text("stream,pqs,qp,tbpp\n" + "".join(f"{s},{p!r},{q},{t!r}\n"
+                                                     for s, p, q, t in rows) + "d,x,1,1\n")
+    calls = []
+    monkeypatch.setattr(cli, "predict", lambda p, f: calls.append(len(f.qp)) or predict(p, f))
+    out = tmp_path / "scores.csv"
+    assert run(["score", feat, "--out", out]) == 1
+    assert calls == [3]
+    # every cell equals the scalar prediction's repr
+    for got, (stream, pqs, qp, tbpp) in zip(read_csv(out), rows, strict=True):
+        want = predict(ModelParams(), SimpleNamespace(pqs=pqs, qp=qp, tbpp=tbpp))
+        assert [got[k] for k in ("pmos", "pmos_t", "pmos_g", "tc_est")] == [
+            repr(want.pmos), repr(want.pmos_t), repr(want.pmos_g), repr(want.tc_est)]
 
 
 def test_tc_command(tmp_path):

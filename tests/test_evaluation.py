@@ -1,6 +1,8 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats as sps
 
 from conftest import make_synthetic_records
@@ -211,19 +213,35 @@ def logistic_tanh_form(params, s):
 
 def predicted_reduction(params, s, y):
     """RSS reduction a full Gauss-Newton step over (b3, 1/b4) predicts at `params`,
-    the level and gain at their least-squares values for every (b3, 1/b4)."""
+    the level and gain at their least-squares values for every (b3, 1/b4).
+
+    That is the part of the residual in span(1, tanh, J) beyond span(1, tanh).
+    It is computed by Gram-Schmidt in exact rationals on the float64 columns:
+    when the step sits past the data, J can be too ill-conditioned (cond above
+    1e13) for a float64 least-squares solve.
+    """
     b1, b2, b3, b4 = params
     th = np.tanh(0.5 * (s - b3) / b4)
     slope = 0.5 * (b1 - b2) * (1.0 - th * th)
-    jac = np.stack([0.5 * slope / b4, -0.5 * (s - b3) * slope], axis=1)
-    basis = np.stack([np.ones_like(s), th], axis=1)
-    jac -= basis @ np.linalg.lstsq(basis, jac, rcond=None)[0]
-    r = y - logistic_tanh_form(params, s)
-    return float(np.square(jac @ np.linalg.lstsq(jac, r, rcond=None)[0]).sum())
+    columns = (np.ones_like(s), th, 0.5 * slope / b4, -0.5 * (s - b3) * slope)
+    r = [Fraction(float(v)) for v in y - logistic_tanh_form(params, s)]
+    dot = lambda u, v: sum(a * b for a, b in zip(u, v))
+    basis, parts = [], []
+    for column in columns:
+        v = [Fraction(float(x)) for x in column]
+        for q, qq in basis:
+            f = dot(q, v) / qq
+            v = [a - f * b for a, b in zip(v, q)]
+        vv = dot(v, v)
+        if vv:  # a column in the span of those before it adds nothing
+            basis.append((v, vv))
+        parts.append(dot(v, r) ** 2 / vv if vv else 0)
+    return float(sum(parts[2:]))
 
 
 @settings(max_examples=150, deadline=None)
 @given(panels)
+@example(make_panel("noisy", 5, 1, 0.3))  # J with cond 1e14: a float64 solve reads 2e-9
 def test_logistic_fit_reaches_the_grid_minimum(panel):
     s, y = panel
     fit = fit_logistic(s, y)

@@ -1,13 +1,16 @@
 import itertools
+import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from streampcq.bitstream import BitstreamFeatures
-from streampcq.errors import InvalidParams, NonPositivePqs
+from streampcq.errors import InvalidFeature, InvalidParams, NonPositivePqs
 from streampcq.model import (
+    QP_MAX,
     ModelParams,
+    check_qp,
     alpha_from_tc,
     estimate_tc,
     h_of_qp,
@@ -30,6 +33,17 @@ def test_tqs_values():
     assert tqs_from_qp(4) == 1.0
     assert tqs_from_qp(22) == 8.0
     assert tqs_from_qp(46) == 128.0
+
+
+def test_qp_max_is_the_largest_qp_with_a_finite_step():
+    assert math.isfinite(tqs_from_qp(QP_MAX))
+    with pytest.raises(OverflowError):
+        tqs_from_qp(QP_MAX + 1)
+    for qp in (0, 46, QP_MAX):
+        check_qp(qp)
+    for qp in (-1, QP_MAX + 1, 10**400, math.nan):
+        with pytest.raises(InvalidFeature):
+            check_qp(qp)
 
 
 def test_h_and_j_table_values():
