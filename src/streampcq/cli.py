@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -96,17 +97,23 @@ def cmd_score(args) -> int:
                 failures.append((i, str(exc)))
                 continue
             inputs.append((pqs, qp, tbpp))
-            rows.append([row.get("stream", str(i)), row["pqs"], row["qp"], row["tbpp"]])
+            rows.append((i, [row.get("stream", str(i)), row["pqs"], row["qp"], row["tbpp"]]))
     pqs, qp, tbpp = np.array(inputs, dtype=float).reshape(-1, 3).T
     with np.errstate(over="ignore", invalid="ignore"):  # inf and nan, as in scalar arithmetic
         pred = predict(params, SimpleNamespace(pqs=pqs, qp=qp, tbpp=tbpp))
-    for row, pmos, *terms in zip(rows, pred.pmos.tolist(), pred.pmos_t.tolist(),
-                                 pred.pmos_g.tolist(), pred.tc_est.tolist()):
-        pmos = min(100.0, max(0.0, pmos)) if args.clamp else pmos
-        row += [repr(v) for v in (pmos, *terms)]
-    _write_rows(args.out, ["stream", "pqs", "qp", "tbpp", "pmos", "pmos_t",
-                           "pmos_g", "tc_est"], rows, args.json)
-    for i, msg in failures:
+    terms = ("pmos", "pmos_t", "pmos_g", "tc_est")
+    written = []
+    for (i, row), values in zip(rows, np.stack([getattr(pred, k) for k in terms], 1).tolist()):
+        # e.g. the texture term overflows at QP near QP_MAX: a bad row like any other
+        bad = [f"{k}={v!r}" for k, v in zip(terms, values) if not math.isfinite(v)]
+        if bad:
+            failures.append((i, "prediction is not finite: " + ", ".join(bad)))
+            continue
+        if args.clamp:
+            values[0] = min(100.0, max(0.0, values[0]))
+        written.append(row + [repr(v) for v in values])
+    _write_rows(args.out, ["stream", "pqs", "qp", "tbpp", *terms], written, args.json)
+    for i, msg in sorted(failures):
         print(f"error: row {i}: {msg}", file=sys.stderr)
     return 1 if failures else 0
 
@@ -171,6 +178,9 @@ def cmd_loocv(args) -> int:
     _write_rows(args.out, ["fold", "plcc", "srcc", "rmse"], rows, args.json)
     for held, msg in summary["failed_folds"].items():
         print(f"error: fold {held}: {msg}", file=sys.stderr)
+    for held, r in folds.items():
+        if not r.converged:
+            print(f"note: fold {held}: logistic fit did not converge", file=sys.stderr)
     return 1 if summary["failed_folds"] else 0
 
 
@@ -185,7 +195,8 @@ def cmd_splits(args) -> int:
         print(f"seed={summary['seed']} n={summary['n_splits']} "
               f"mean plcc={summary['mean']['plcc']:.4f} "
               f"srcc={summary['mean']['srcc']:.4f} "
-              f"rmse={summary['mean']['rmse']:.4f}", file=sys.stderr)
+              f"rmse={summary['mean']['rmse']:.4f} "
+              f"unconverged={summary['unconverged']}", file=sys.stderr)
     return 0
 
 

@@ -120,75 +120,128 @@ def rmse(x, y) -> float:
 # a full Gauss-Newton step would cut it by at most the fraction _GTOL**2.  A
 # step to |b1 - b2| > _MAX_SPREAD * range(mos) is refused: past it b1 and b2
 # cancel in the mapping, and its rounding could fit the noise.
+#
+# Several panels of one length n are searched together: every array is
+# (panels, starts, n), and every sum runs along n, so a panel's fit has the
+# same bits in a batch as alone.  Held-out folds are fitted in batches of at
+# most _BATCH_ELEMENTS elements per such array.
 _MAX_TRIALS = 100
 _GTOL = 1e-6
 _MAX_SPREAD = 1e7
+_STARTS = 11  # the starts fit_logistic's docstring lists
+_BATCH_ELEMENTS = 2**15
 
 
 def _dot(u, v):
-    return (u * v).sum(axis=1)
+    return (u * v).sum(axis=-1)
 
 
 def _project(s, y, b3, t):
-    """Per start (row): (b1, b2, b3, b4) with the closed-form mid and half, the
-    mapping computed from those four numbers as fit_logistic reports it, tanh."""
+    """Per start: (b1, b2, b3, b4) with the closed-form mid and half, the
+    mapping computed from those four numbers as fit_logistic reports it, tanh.
+    s and y are (panels, n), b3 and t (panels, starts)."""
     b4 = 1.0 / t
-    th = np.tanh(0.5 * (s - b3[:, None]) / b4[:, None])
-    tc = th - th.mean(axis=1, keepdims=True)
-    half = (tc @ y) / _dot(tc, tc)
-    mid = y.mean() - half * th.mean(axis=1)
+    th = np.tanh(0.5 * (s[:, None] - b3[..., None]) / b4[..., None])
+    tc = th - th.mean(axis=-1, keepdims=True)
+    # one matrix-vector product per panel, as `tc @ y` rounds for a lone panel
+    half = np.matmul(tc, y[..., None])[..., 0] / _dot(tc, tc)
+    mid = y.mean(axis=-1, keepdims=True) - half * th.mean(axis=-1)
     b1, b2 = mid + half, mid - half
-    mapped = (0.5 * (b1 + b2))[:, None] + (0.5 * (b1 - b2))[:, None] * th
-    return np.stack([b1, b2, b3, b4], axis=1), mapped, th
+    mapped = (0.5 * (b1 + b2))[..., None] + (0.5 * (b1 - b2))[..., None] * th
+    return np.stack([b1, b2, b3, b4], axis=-1), mapped, th
 
 
 def _search(s, y, b3, t, rss_floor):
-    """(params, rss, converged) per start, after damped Gauss-Newton over (b3, t).
+    """(params, converged) of each panel's lowest-RSS start, after damped
+    Gauss-Newton over (b3, t).
 
-    Ends when every start has converged or stalled (no damping of either step
-    lowers its RSS); when the start with the lowest RSS has converged and no
-    other start's Gauss-Newton step, shrunk by its damping, predicts an RSS
-    more than 1e-6 below it; or after _MAX_TRIALS steps.
+    A panel's search ends when every start has converged or stalled (no
+    damping of either step lowers its RSS); when its lowest-RSS start has
+    converged and no other start's Gauss-Newton step, shrunk by its damping,
+    predicts an RSS more than 1e-6 below it; or after _MAX_TRIALS steps.  A
+    panel leaves the arrays after the trial on which it ends, so a slow panel
+    steps alone once the others are done.
     """
+    best_params, best_converged = np.empty((len(s), 4)), np.empty(len(s), dtype=bool)
+    live = np.arange(len(s))
+    s_mean, y_range = s.mean(axis=-1, keepdims=True), np.ptp(y, axis=-1, keepdims=True)
     params, mapped, th = _project(s, y, b3, t)
-    rss, lams = np.square(y - mapped).sum(axis=1), np.full((2, len(t)), 1e-3)
+    rss, lams = np.square(y[:, None] - mapped).sum(axis=-1), np.full(t.shape + (2,), 1e-3)
     for trial in range(_MAX_TRIALS + 1):
         # d(residual)/d(b3, t) less its part in span(1, tanh); jt2 is the t
         # column less its part along the b3 column
-        r, tc = y - mapped, th - th.mean(axis=1, keepdims=True)
-        d = 0.5 * (params[:, :1] - params[:, 1:2]) * (1.0 - th * th)
-        jb, jt = (v - v.mean(axis=1, keepdims=True) - tc * (_dot(tc, v) / _dot(tc, tc))[:, None]
-                  for v in (0.5 * t[:, None] * d, -0.5 * (s - b3[:, None]) * d))
+        r, tc = y[:, None] - mapped, th - th.mean(axis=-1, keepdims=True)
+        d = 0.5 * (params[..., :1] - params[..., 1:2]) * (1.0 - th * th)
+        jb, jt = (v - v.mean(axis=-1, keepdims=True) - tc * (_dot(tc, v) / _dot(tc, tc))[..., None]
+                  for v in (0.5 * t[..., None] * d, -0.5 * (s[:, None] - b3[..., None]) * d))
         a, c, along = _dot(jb, jb), _dot(jt, jt), _dot(jb, jt) / _dot(jb, jb)
-        jt2 = jt - along[:, None] * jb
+        jt2 = jt - along[..., None] * jb
         c2, gb, gt2 = _dot(jt2, jt2), _dot(jb, r), _dot(jt2, r)
         gain = gb * gb / a + gt2 * gt2 / c2  # RSS cut a full Gauss-Newton step predicts
         converged = (rss <= rss_floor) | (gain <= _GTOL**2 * rss)
-        going = ~converged & ~(lams > 1e16).all(axis=0)
-        best = np.argmin(rss)
-        hopeful = going & (rss - gain / (1.0 + lams.min(axis=0)) < rss[best] * (1.0 - 1e-6))
-        if trial == _MAX_TRIALS or not going.any() or (converged[best] and not hopeful.any()):
-            return params, rss, converged
+        going = ~converged & ~(lams > 1e16).all(axis=-1)
+        best = np.arange(len(rss)), np.argmin(rss, axis=-1)
+        hopeful = going & (rss - gain / (1.0 + lams.min(axis=-1))
+                           < rss.min(axis=-1, keepdims=True) * (1.0 - 1e-6))
+        done = (~going.any(axis=-1) | (converged[best] & ~hopeful.any(axis=-1))
+                | (trial == _MAX_TRIALS))
+        best_params[live[done]] = params[best][done]
+        best_converged[live[done]] = converged[best][done]
+        if done.all():
+            return best_params, best_converged
         # Marquardt step (J'J + lam diag J'J) step = -J'r, solved in (jb, jt2).
         # A start whose Marquardt steps keep failing (lam > 1) takes, every
         # other trial and with its own lam, a step in t that holds
         # t*(b3 - mean(s)): it slides along the spread bound the Marquardt
         # step runs into.
-        slide = (trial % 2 == 1) & (lams[0] > 1.0)
-        lam = np.where(slide, lams[1], lams[0])
+        slide = (trial % 2 == 1) & (lams[..., 0] > 1.0)
+        lam = np.where(slide, lams[..., 1], lams[..., 0])
         e = c2 + lam * (2.0 + lam) * c
-        w = (s.mean() - b3) / t
-        jw = jt + w[:, None] * jb
+        w = (s_mean - b3) / t
+        jw = jt + w[..., None] * jb
         step = -_dot(jw, r) / ((1.0 + lam) * _dot(jw, jw))
         cand_b3 = b3 + np.where(slide, w * step, (along * a * gt2 - gb * (c2 + lam * c)) / (a * e))
         cand_t = np.abs(t + np.where(slide, step, -((1.0 + lam) * gt2 + lam * along * gb) / e))
         cand = _project(s, y, cand_b3, cand_t)
-        cand_rss = np.square(y - cand[1]).sum(axis=1)
-        ok = (cand_rss < rss) & (np.abs(cand[0][:, 0] - cand[0][:, 1]) <= _MAX_SPREAD * np.ptp(y))
+        cand_rss = np.square(y[:, None] - cand[1]).sum(axis=-1)
+        ok = (cand_rss < rss) & (np.abs(cand[0][..., 0] - cand[0][..., 1]) <= _MAX_SPREAD * y_range)
         b3, t, rss = np.where(ok, cand_b3, b3), np.where(ok, cand_t, t), np.where(ok, cand_rss, rss)
-        params, mapped, th = (np.where(ok[:, None], new, old)
+        params, mapped, th = (np.where(ok[..., None], new, old)
                               for new, old in zip(cand, (params, mapped, th)))
-        lams[slide.astype(int), np.arange(len(t))] = np.where(ok, lam / 3.0, lam * 10.0)
+        lam = np.where(ok, lam / 3.0, lam * 10.0)
+        lams[..., 0] = np.where(slide, lams[..., 0], lam)
+        lams[..., 1] = np.where(slide, lam, lams[..., 1])
+        if done.any():
+            keep = ~done
+            live, s, y, s_mean, y_range, rss_floor, b3, t, rss, lams, params, mapped, th = (
+                v[keep] for v in (live, s, y, s_mean, y_range, rss_floor,
+                                  b3, t, rss, lams, params, mapped, th))
+
+
+def _check_panel(s, y):
+    if len(s) != len(y) or len(s) < 5:
+        raise DegenerateDesign("need at least five score pairs")
+    if np.all(s == s[0]):
+        raise ZeroVariance("objective scores are constant")
+
+
+def _fit_panels(s, y) -> list:
+    """fit_logistic of each row of the (panels, n) arrays s -> y, searched
+    together; every panel must have passed _check_panel."""
+    # absolute floor: RSS this far below the data scale is a perfect fit
+    rss_floor = 1e-20 * s.shape[1] * (np.var(y, axis=-1, keepdims=True) + 1.0)
+    quantiles = np.quantile(s, (0.1, 0.3, 0.5, 0.7, 0.9), axis=-1).T
+    sd = s.std(axis=-1, keepdims=True)
+    b3 = np.concatenate([s.mean(axis=-1, keepdims=True), quantiles, quantiles], axis=1)
+    t = np.concatenate([1e-6 / np.ptp(s, axis=-1, keepdims=True),
+                        np.repeat(1.0 / sd, 5, axis=1), np.repeat(4.0 / sd, 5, axis=1)], axis=1)
+    with np.errstate(all="ignore"):  # a degenerate candidate is NaN and never accepted
+        params, converged = _search(s, y, b3, t, rss_floor)
+    b1, b2, b3, b4 = params.T[..., None]
+    mapped = 0.5 * (b1 + b2) + 0.5 * (b1 - b2) * np.tanh(0.5 * (s - b3) / b4)
+    rss = np.square(mapped - y).sum(axis=-1)
+    return [LogisticFit(params=tuple(p), mapped=m, rss=r, converged=c)
+            for p, m, r, c in zip(params.tolist(), mapped, rss.tolist(), converged.tolist())]
 
 
 def fit_logistic(objective, mos) -> LogisticFit:
@@ -200,28 +253,11 @@ def fit_logistic(objective, mos) -> LogisticFit:
     """
     s = np.asarray(objective, dtype=float)
     y = np.asarray(mos, dtype=float)
-    if len(s) != len(y) or len(s) < 5:
-        raise DegenerateDesign("need at least five score pairs")
-    if np.all(s == s[0]):
-        raise ZeroVariance("objective scores are constant")
-
-    # absolute floor: RSS this far below the data scale is a perfect fit
-    rss_floor = 1e-20 * len(y) * (float(np.var(y)) + 1.0)
-    b3 = np.concatenate([[s.mean()], np.tile(np.quantile(s, (0.1, 0.3, 0.5, 0.7, 0.9)), 2)])
-    t = np.concatenate([[1e-6 / np.ptp(s)], np.repeat((1.0 / s.std(), 4.0 / s.std()), 5)])
-    with np.errstate(all="ignore"):  # a degenerate candidate is NaN and never accepted
-        params, rss, converged = _search(s, y, b3, t, rss_floor)
-    b1, b2, b3, b4 = (float(p) for p in params[np.argmin(rss)])
-    mapped = 0.5 * (b1 + b2) + 0.5 * (b1 - b2) * np.tanh(0.5 * (s - b3) / b4)
-    return LogisticFit(params=(b1, b2, b3, b4), mapped=mapped,
-                       rss=float(np.square(mapped - y).sum()),
-                       converged=bool(converged[np.argmin(rss)]))
+    _check_panel(s, y)
+    return _fit_panels(s[None], y[None])[0]
 
 
-def evaluate(pairs: ScorePairSet) -> EvalReport:
-    """SRCC on raw scores; PLCC/RMSE after the fitted logistic mapping."""
-    rank_corr = srcc(pairs.objective, pairs.mos)
-    fit = fit_logistic(pairs.objective, pairs.mos)
+def _report(pairs, rank_corr, fit) -> EvalReport:
     return EvalReport(
         plcc=plcc(fit.mapped, pairs.mos),
         srcc=rank_corr,
@@ -232,16 +268,63 @@ def evaluate(pairs: ScorePairSet) -> EvalReport:
     )
 
 
+def evaluate(pairs: ScorePairSet) -> EvalReport:
+    """SRCC on raw scores; PLCC/RMSE after the fitted logistic mapping."""
+    return _report(pairs, srcc(pairs.objective, pairs.mos),
+                   fit_logistic(pairs.objective, pairs.mos))
+
+
 # ---------------------------------------------------------------------------
 # Cross-validation and random splits
 
 
-def _held_out(records, train_contents, variant):
-    """Train on `train_contents`, score every other record in one call, evaluate."""
-    train = [r for r in records if r.content in train_contents]
-    test = record_columns([r for r in records if r.content not in train_contents])
-    params, _diag = train_full(train, variant=variant)
-    return evaluate(ScorePairSet(model_predict(params, test).pmos, test.mos))
+def _fold_pairs(cols, folds, variant):
+    """Yield (key, ScorePairSet, or the error that failed it) for each (key,
+    train mask) fold over the record columns `cols`: the records outside the
+    mask, scored in one call by the model trained on those inside."""
+    for key, train in folds:
+        try:
+            params, _diag = train_full(cols[train], variant=variant)
+            test = cols[~train]
+            pairs = ScorePairSet(model_predict(params, test).pmos, test.mos)
+        except (StreamPcqError, ValueError) as exc:
+            pairs = exc
+        yield key, pairs
+
+
+def _fit_batch(batch):
+    keys, panels, rank_corrs = zip(*batch)
+    fits = _fit_panels(np.stack([p.objective for p in panels]), np.stack([p.mos for p in panels]))
+    for key, pairs, rank_corr, fit in zip(keys, panels, rank_corrs, fits):
+        try:
+            yield key, _report(pairs, rank_corr, fit)
+        except ZeroVariance as exc:  # a constant mapping
+            yield key, exc
+
+
+def _evaluate_each(panels):
+    """Yield (key, EvalReport, or the error that failed it) for each (key,
+    ScorePairSet or error) of `panels`, as evaluate gives it.  Panels of one
+    length are fitted together, in batches of at most _BATCH_ELEMENTS elements
+    per search array, so the order follows the batches."""
+    pending = {}
+    for key, pairs in panels:
+        if isinstance(pairs, ScorePairSet):
+            try:
+                rank_corr = srcc(pairs.objective, pairs.mos)
+                _check_panel(pairs.objective, pairs.mos)
+            except StreamPcqError as exc:
+                pairs = exc
+        if isinstance(pairs, Exception):
+            yield key, pairs
+            continue
+        n = len(pairs.mos)
+        batch = pending.setdefault(n, [])
+        batch.append((key, pairs, rank_corr))
+        if len(batch) >= _BATCH_ELEMENTS // (_STARTS * n):
+            yield from _fit_batch(pending.pop(n))
+    for batch in pending.values():
+        yield from _fit_batch(batch)
 
 
 def _mean_std(rows):
@@ -260,17 +343,14 @@ def loocv(records, variant: str = TRAINING_VARIANT):
     A fold whose training or test set is too small for a fit is reported in
     the summary's `failed_folds` and the run goes on.
     """
-    records = list(records)
-    contents = sorted({r.content for r in records})
+    cols = record_columns(list(records))
+    contents = np.unique(cols.content).tolist()
     if len(contents) < 2:
         raise DegenerateDesign("leave-one-out needs at least two contents")
-    folds = {}
-    failures = {}
-    for held in contents:
-        try:
-            folds[held] = _held_out(records, set(contents) - {held}, variant)
-        except (StreamPcqError, ValueError) as exc:
-            failures[held] = str(exc)
+    masks = ((held, cols.content != held) for held in contents)
+    results = dict(_evaluate_each(_fold_pairs(cols, masks, variant)))
+    folds = {k: results[k] for k in contents if isinstance(results[k], EvalReport)}
+    failures = {k: str(results[k]) for k in contents if k not in folds}
     if not folds:
         raise DegenerateDesign("every fold failed: " + "; ".join(failures.values()))
     mean, std = _mean_std([(f.plcc, f.srcc, f.rmse) for f in folds.values()])
@@ -286,19 +366,24 @@ def random_split_eval(records, n_splits: int = 1000, n_train: int = 10,
     """
     if seed is None:
         raise ValueError("seed is mandatory for reproducibility")
-    records = list(records)
-    contents = sorted({r.content for r in records})
+    cols = record_columns(list(records))
+    contents = np.unique(cols.content)
     if len(contents) < 2:
         raise DegenerateDesign("need at least two contents to split")
     n_train = min(n_train, len(contents) - 1)
     rng = np.random.default_rng(seed)
-    results = []
-    for _ in range(n_splits):
-        chosen = rng.choice(len(contents), size=n_train, replace=False).tolist()
-        rep = _held_out(records, {contents[i] for i in chosen}, variant)
-        results.append((rep.plcc, rep.srcc, rep.rmse))
+    masks = ((i, np.isin(cols.content, contents[rng.choice(len(contents), size=n_train,
+                                                           replace=False)]))
+             for i in range(n_splits))
+    results, unconverged = [None] * n_splits, 0
+    for i, rep in _evaluate_each(_fold_pairs(cols, masks, variant)):
+        if not isinstance(rep, EvalReport):
+            raise rep
+        results[i] = (rep.plcc, rep.srcc, rep.rmse)
+        unconverged += not rep.converged
     mean, std = _mean_std(results)
-    return results, {"n_splits": len(results), "seed": seed, "mean": mean, "std": std}
+    return results, {"n_splits": len(results), "seed": seed, "mean": mean, "std": std,
+                     "unconverged": unconverged}
 
 
 # ---------------------------------------------------------------------------

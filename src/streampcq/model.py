@@ -107,8 +107,18 @@ class QualityPrediction:
 
 
 def tqs_from_qp(qp) -> float:
-    """Texture quantization step: 2^((qp - 4) / 6)."""
-    return 2.0 ** ((qp - 4) / 6.0)
+    """Texture quantization step: 2^((qp - 4) / 6).
+
+    A scalar QP goes through numpy's array power too, so it gets the bits it
+    gets in a batch (Python's `**` rounds one ulp apart at some QPs), and
+    raises OverflowError past QP_MAX as `**` does."""
+    if np.ndim(qp):
+        return np.power(2.0, (np.asarray(qp) - 4) / 6.0)
+    try:
+        with np.errstate(over="raise"):
+            return float(np.power(2.0, (qp - 4) / 6.0))
+    except FloatingPointError as exc:
+        raise OverflowError(f"quantization step of qp {qp} overflows") from exc
 
 
 def check_qp(qp):

@@ -7,7 +7,9 @@ import pytest
 
 from conftest import make_synthetic_records
 from streampcq import cli
+from streampcq.calibration import read_training_csv
 from streampcq.cli import build_parser, main
+from streampcq.evaluation import loocv, random_split_eval
 from streampcq.model import ModelParams, predict
 
 
@@ -204,16 +206,25 @@ def test_score_malformed_row_skipped(tmp_path):
 
 
 def test_score_fails_only_rows_out_of_range(tmp_path, capsys):
+    # at QP 6100 and 6147 the quantization step is finite but the texture
+    # term overflows: a non-finite prediction fails its row like a bad input
     feat = tmp_path / "features.csv"
     feat.write_text("stream,pqs,qp,tbpp\ns1,0.25,46,0.5\ns2,0.25,9000,0.5\n"
-                    "s3,0.25,-1,0.5\ns4,0,22,0.5\ns5,0.5,6147,0.25\n")
+                    "s3,0.25,-1,0.5\ns4,0,22,0.5\ns5,0.5,6147,0.25\ns6,0.25,6100,0.25\n"
+                    "s7,0.5,6000,0.25\n")
     out = tmp_path / "scores.csv"
     assert run(["score", feat, "--out", out]) == 1
-    assert [r["stream"] for r in read_csv(out)] == ["s1", "s5"]
+    assert [r["stream"] for r in read_csv(out)] == ["s1", "s7"]
     assert capsys.readouterr().err == (
         "error: row 1: qp must be from 0 to 6147, got 9000\n"
         "error: row 2: qp must be from 0 to 6147, got -1\n"
-        "error: row 3: pqs must be positive, got 0.0\n")
+        "error: row 3: pqs must be positive, got 0.0\n"
+        "error: row 4: prediction is not finite: pmos_t=inf\n"
+        "error: row 5: prediction is not finite: pmos_t=inf\n")
+    assert run(["score", feat, "--variant", "alpha-times-tqs", "--clamp", "--out", out]) == 1
+    assert [r["stream"] for r in read_csv(out)] == ["s1", "s7"]
+    assert "error: row 5: prediction is not finite: pmos=inf, pmos_t=inf\n" in (
+        capsys.readouterr().err)
 
 
 def test_score_predicts_every_row_in_one_call(tmp_path, monkeypatch):
@@ -301,6 +312,27 @@ def test_splits_command_bit_reproducible(tmp_path):
     assert run(args + ["--out", out1]) == 0
     assert run(args + ["--out", out2]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_unconverged_fits_are_notes_on_stderr(tmp_path, capsys):
+    noisy, clean = tmp_path / "noisy.csv", tmp_path / "clean.csv"
+    write_training_csv(noisy, make_synthetic_records(noise_sigma=0.5,
+                                                     rng=np.random.default_rng(3)))
+    write_training_csv(clean, make_synthetic_records())
+    folds, _ = loocv(read_training_csv(noisy))
+    notes = [f"note: fold {held}: logistic fit did not converge"
+             for held, rep in folds.items() if not rep.converged]
+    _, summary = random_split_eval(read_training_csv(noisy), n_splits=6, seed=1)
+    assert notes and summary["unconverged"] > 0
+    out = tmp_path / "out.csv"
+    assert run(["loocv", noisy, "--out", out]) == 0
+    assert capsys.readouterr().err.splitlines() == notes
+    assert run(["loocv", clean, "--out", out]) == 0
+    assert capsys.readouterr().err == ""
+    assert run(["splits", noisy, "--n", 6, "--seed", 1, "--out", out]) == 0
+    assert capsys.readouterr().err.endswith(f" unconverged={summary['unconverged']}\n")
+    assert run(["splits", clean, "--n", 6, "--seed", 1, "--out", out]) == 0
+    assert capsys.readouterr().err.endswith(" unconverged=0\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy import stats as sps
 
 from conftest import make_synthetic_records
 from streampcq import evaluation
+from streampcq.calibration import record_columns, train_full
 from streampcq.errors import DegenerateDesign, ZeroVariance
 from streampcq.evaluation import (
     ScorePairSet,
@@ -21,6 +23,7 @@ from streampcq.evaluation import (
     rmse,
     srcc,
 )
+from streampcq.model import predict
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +283,57 @@ def test_logistic_unconverged_when_stalled(monkeypatch):
     assert fit.rss <= reference.rss * (1.0 + 1e-9)
 
 
+@st.composite
+def panel_batches(draw):
+    """Panels of one or two lengths from 5 to 200 with one constant-objective
+    panel among them, and a batch size in panels of the longest length."""
+    lengths = draw(st.lists(st.integers(min_value=5, max_value=200), min_size=1, max_size=2))
+    panels = [make_panel(shape, draw(st.sampled_from(lengths)), seed, noise)
+              for shape, seed, noise in draw(st.lists(
+                  st.tuples(st.sampled_from(SHAPES), st.integers(min_value=0, max_value=2**32 - 1),
+                            st.sampled_from((1e-3, 0.3, 3.0, 15.0))), min_size=1, max_size=8))]
+    constant = draw(st.integers(min_value=0, max_value=len(panels)))
+    panels.insert(constant, (np.full(lengths[0], 3.0), np.arange(float(lengths[0]))))
+    return panels, constant, draw(st.integers(min_value=1, max_value=3)) * max(lengths)
+
+
+def report_bits(rep):
+    return (rep.plcc, rep.srcc, rep.rmse, rep.logistic_params, rep.mapped.tobytes(), rep.converged)
+
+
+@settings(max_examples=20, deadline=None)
+@given(panel_batches())
+def test_batched_fits_equal_lone_fits_bitwise(batches):
+    panels, constant, budget = batches
+    # a budget of 1-3 panels of the longest length: batches fill and are cut
+    with mock.patch.object(evaluation, "_BATCH_ELEMENTS", evaluation._STARTS * budget):
+        got = dict(evaluation._evaluate_each(
+            (i, ScorePairSet(s, y)) for i, (s, y) in enumerate(panels)))
+    assert sorted(got) == list(range(len(panels)))
+    assert isinstance(got.pop(constant), ZeroVariance)
+    for i, rep in got.items():
+        assert report_bits(rep) == report_bits(evaluate(ScorePairSet(*panels[i])))
+    # the LogisticFit of each panel, rss too, from one search over one length
+    fitted = [p for i, p in enumerate(panels) if i != constant]
+    group = [p for p in fitted if len(p[0]) == len(fitted[-1][0])]
+    batched = evaluation._fit_panels(*(np.stack(c) for c in zip(*group)))
+    for (s, y), fit in zip(group, batched, strict=True):
+        lone = fit_logistic(s, y)
+        assert (fit.params, fit.mapped.tobytes(), fit.rss, fit.converged) == (
+            lone.params, lone.mapped.tobytes(), lone.rss, lone.converged)
+
+
+def test_a_constant_mapping_fails_only_its_panel():
+    # two objective levels with equal MOS means: every start maps to the mean
+    flat = ScorePairSet([0.0, 0.0, 0.0, 1.0, 1.0, 1.0], [1.0, 2.0, 3.0, 3.0, 2.0, 1.0])
+    other = ScorePairSet(*make_panel("noisy", 6, 1, 0.3))
+    with pytest.raises(ZeroVariance):
+        evaluate(flat)
+    got = dict(evaluation._evaluate_each([("flat", flat), ("other", other)]))
+    assert isinstance(got["flat"], ZeroVariance)
+    assert report_bits(got["other"]) == report_bits(evaluate(other))
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 
@@ -382,6 +436,43 @@ def test_loocv_lets_programming_errors_through(synthetic_records, monkeypatch):
     monkeypatch.setattr(evaluation, "train_full", broken)
     with pytest.raises(TypeError):
         loocv(synthetic_records)
+
+
+def held_out_reference(records, train_contents):
+    """One fold as evaluate gives it: train on `train_contents`, score the rest."""
+    params, _diag = train_full([r for r in records if r.content in train_contents])
+    test = record_columns([r for r in records if r.content not in train_contents])
+    return evaluate(ScorePairSet(predict(params, test).pmos, test.mos))
+
+
+def test_loocv_on_ragged_contents_equals_per_fold_evaluate():
+    noisy = make_synthetic_records(noise_sigma=0.5, rng=np.random.default_rng(3))
+    rows = [r for r in noisy if r.content != "content05"]
+    rows[100:100] = [r for r in noisy if r.content == "content05"][:12]
+    contents = sorted({r.content for r in rows})
+    folds, summary = loocv(rows)
+    assert list(folds) == contents and not summary["failed_folds"]
+    want = {held: held_out_reference(rows, set(contents) - {held}) for held in contents}
+    assert any(not rep.converged for rep in want.values())
+    for held in contents:
+        assert report_bits(folds[held]) == report_bits(want[held])
+    for k, column in zip(("plcc", "srcc", "rmse"),
+                         zip(*[(w.plcc, w.srcc, w.rmse) for w in want.values()])):
+        assert summary["mean"][k] == np.mean(column)
+
+
+def test_random_splits_across_two_batches_equal_per_split_evaluate():
+    noisy = make_synthetic_records(noise_sigma=0.5, rng=np.random.default_rng(4))
+    # 10 held-out contents of 20 stimuli: 200 scores per split, 14 splits a batch
+    assert evaluation._BATCH_ELEMENTS // (evaluation._STARTS * 200) < 20
+    results, summary = random_split_eval(noisy, n_splits=20, seed=5)
+    assert (results, summary) == random_split_eval(noisy, n_splits=20, seed=5)
+    contents = sorted({r.content for r in noisy})
+    rng = np.random.default_rng(5)
+    want = [held_out_reference(noisy, {contents[i] for i in rng.choice(20, size=10, replace=False)})
+            for _ in range(20)]
+    assert results == [(w.plcc, w.srcc, w.rmse) for w in want]
+    assert summary["unconverged"] == sum(not w.converged for w in want) > 0
 
 
 def test_summaries_are_column_mean_and_sample_std():

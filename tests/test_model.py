@@ -35,6 +35,12 @@ def test_tqs_values():
     assert tqs_from_qp(46) == 128.0
 
 
+def test_tqs_of_a_scalar_has_the_bits_of_an_array_element():
+    steps = tqs_from_qp(np.arange(QP_MAX + 1))
+    assert [tqs_from_qp(qp) for qp in range(QP_MAX + 1)] == steps.tolist()
+    assert type(tqs_from_qp(57)) is float
+
+
 def test_qp_max_is_the_largest_qp_with_a_finite_step():
     assert math.isfinite(tqs_from_qp(QP_MAX))
     with pytest.raises(OverflowError):
