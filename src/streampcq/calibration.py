@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateDesign
+from .errors import DegenerateDesign, InvalidInput
 from .model import ModelParams, tqs_from_qp
 
 __all__ = [
@@ -31,6 +31,7 @@ __all__ = [
     "stage_c_alpha_tc",
     "stage_d_beta_pqs",
     "train_full",
+    "read_csv_columns",
     "read_training_csv",
 ]
 
@@ -59,11 +60,37 @@ class FitDiagnostics:
     coefficients: dict = field(default_factory=dict)    # stage name -> tuple
 
 
-def read_training_csv(path) -> list:
+def read_csv_columns(path, kinds: dict) -> list:
+    """One tuple per data row of the CSV file at `path`: the cell of each
+    column of `kinds` ({name: str, int or float}) read as its kind.  A missing
+    column, or a cell that does not read as a finite value of its kind, is an
+    InvalidInput that names the file, line and column."""
     with open(path, newline="") as fh:
-        return [TrainingRecord(row["content"], float(row["pqs"]), int(row["qp"]),
-                               float(row["tbpp"]), float(row["tc"]), float(row["mos"]))
-                for row in csv.DictReader(fh)]
+        reader = csv.DictReader(fh, restval="")  # a short row's missing cells
+        for name in kinds:
+            if name not in (reader.fieldnames or ()):
+                raise InvalidInput(f"{path}: line 1: no column {name!r}")
+        rows = []
+        for row in reader:
+            cells = []
+            for name, kind in kinds.items():
+                try:
+                    value = kind(row[name])
+                except ValueError:
+                    value = math.nan
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise InvalidInput(f"{path}: line {reader.line_num}: column {name!r}: "
+                                       f"{row[name]!r} is not a finite {kind.__name__}")
+                cells.append(value)
+            rows.append(tuple(cells))
+        return rows
+
+
+def read_training_csv(path) -> list:
+    """The training records of a CSV file with the columns content, pqs, qp,
+    tbpp, tc and mos, in file order; see read_csv_columns for bad input."""
+    kinds = dict(zip(_FIELDS, (str, float, int, float, float, float)))
+    return [TrainingRecord(*row) for row in read_csv_columns(path, kinds)]
 
 
 # ---------------------------------------------------------------------------
@@ -109,18 +136,15 @@ def _rss_line(xs, ys, slope, intercept):
 
 
 def record_columns(records):
-    """The fields of `records` as the columns (`.content`, `.pqs`, ...) of one
-    record array, in record order; a record array is returned as it is."""
+    """The fields of any iterable of records as the columns (`.content`, `.pqs`,
+    ...) of one record array, sorted by (content, pqs, qp, tbpp, mos) so that no
+    sum over a group's rows depends on record order.  A record array is taken to
+    be one this returned, or a boolean-mask subset of one, and is returned as is."""
     if isinstance(records, np.recarray):
         return records
-    return np.rec.fromarrays([np.array([getattr(r, k) for r in records]) for k in _FIELDS],
+    records = list(records)
+    cols = np.rec.fromarrays([np.array([getattr(r, k) for r in records]) for k in _FIELDS],
                              names=_FIELDS)
-
-
-def _canonical(records):
-    """Record columns sorted by (content, pqs, qp, tbpp, mos): every sum over
-    a group's rows runs in the same order whatever the input order."""
-    cols = record_columns(records)
     return cols[np.lexsort((cols.mos, cols.tbpp, cols.qp, cols.pqs, cols.content))]
 
 
@@ -160,7 +184,7 @@ def stage_a_mos_vs_tqs(records, diagnostics: FitDiagnostics | None = None):
     Returns {(content, pqs): (alpha_obs, beta_obs)}; degenerate groups are
     skipped and reported in diagnostics.
     """
-    cols = _canonical(records)
+    cols = record_columns(records)
     out = _fit_groups("A", [cols.content, cols.pqs], tqs_from_qp(cols.qp), cols.mos,
                       diagnostics or FitDiagnostics())
     if not out:
@@ -172,7 +196,7 @@ def stage_b_tc_model(records, diagnostics: FitDiagnostics | None = None):
     """Fit the tc ~ H(qp)*tbpp + J(qp) chain; returns (a1, a2, a3, b1, b2)."""
     diagnostics = diagnostics or FitDiagnostics()
     # (H_obs, J_obs) per (pqs, qp) cell, pooled across pqs below
-    cols = _canonical(records)
+    cols = record_columns(records)
     cells = _fit_groups("B", [cols.pqs, cols.qp], cols.tbpp, cols.tc, diagnostics)
     qps = [qp for _pqs, qp in cells]
     if len(set(qps)) < 3:
@@ -216,7 +240,7 @@ def stage_d_beta_pqs(alpha_by_group, diagnostics: FitDiagnostics | None = None):
 
 def train_full(records, variant: str = TRAINING_VARIANT):
     """Run stages A through D; returns (ModelParams, FitDiagnostics)."""
-    cols = _canonical(records)
+    cols = record_columns(records)
     if len(np.unique(cols.pqs)) < 2 or len(np.unique(cols.qp)) < 2:
         raise DegenerateDesign("training data must span two pqs and two qp levels")
     diag = FitDiagnostics()

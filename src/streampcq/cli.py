@@ -23,7 +23,7 @@ from . import bitstream as bs
 from . import calibration as cal
 from . import evaluation as ev
 from . import pointcloud as pcio
-from .errors import NonPositivePqs, StreamPcqError
+from .errors import InvalidInput, NonPositivePqs, StreamPcqError
 from .model import ModelParams, VARIANTS, check_qp, predict
 
 
@@ -149,11 +149,10 @@ def cmd_train(args) -> int:
 
 
 def _read_scores_csv(path):
-    obj, mos = [], []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            obj.append(float(row["objective"]))
-            mos.append(float(row["mos"]))
+    rows = cal.read_csv_columns(path, {"objective": float, "mos": float})
+    if len(rows) < 4:
+        raise InvalidInput(f"{path}: {len(rows)} score rows, need at least 4")
+    obj, mos = zip(*rows)
     return ev.ScorePairSet(np.array(obj), np.array(mos))
 
 
@@ -200,14 +199,10 @@ def cmd_splits(args) -> int:
     return 0
 
 
-def _read_residuals(path):
-    with open(path, newline="") as fh:
-        return np.array([float(r["residual"]) for r in csv.DictReader(fh)])
-
-
 def cmd_significance(args) -> int:
     names = [Path(p).stem for p in args.residuals]
-    residuals = [_read_residuals(p) for p in args.residuals]
+    residuals = [np.array([r for r, in cal.read_csv_columns(p, {"residual": float})])
+                 for p in args.residuals]
     encode = {"row-better": "1", "equivalent": "0.5", "column-better": "0"}
     rows = []
     for i, ri in enumerate(residuals):

@@ -59,6 +59,14 @@ class InvalidParams(StreamPcqError, ValueError):
     pass
 
 
+# --- tables and options ---
+
+class InvalidInput(StreamPcqError, ValueError):
+    """A CSV table without a column it needs, with a cell that is not a
+    finite value of its column's kind or with too few rows (the message names
+    the file, line and column), or an option value out of range."""
+
+
 # --- point cloud ---
 
 class UnsupportedPly(StreamPcqError):

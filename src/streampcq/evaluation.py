@@ -343,7 +343,7 @@ def loocv(records, variant: str = TRAINING_VARIANT):
     A fold whose training or test set is too small for a fit is reported in
     the summary's `failed_folds` and the run goes on.
     """
-    cols = record_columns(list(records))
+    cols = record_columns(records)
     contents = np.unique(cols.content).tolist()
     if len(contents) < 2:
         raise DegenerateDesign("leave-one-out needs at least two contents")
@@ -366,7 +366,7 @@ def random_split_eval(records, n_splits: int = 1000, n_train: int = 10,
     """
     if seed is None:
         raise ValueError("seed is mandatory for reproducibility")
-    cols = record_columns(list(records))
+    cols = record_columns(records)
     contents = np.unique(cols.content)
     if len(contents) < 2:
         raise DegenerateDesign("need at least two contents to split")

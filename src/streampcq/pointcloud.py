@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MalformedHeader, NoEligibleBlocks, UnsupportedPly
+from .errors import InvalidInput, MalformedHeader, NoEligibleBlocks, UnsupportedPly
 
 __all__ = ["PointCloud", "TcResult", "read_ply", "write_ply", "rgb_to_luma", "compute_tc"]
 
@@ -165,7 +165,7 @@ def compute_tc(pc: PointCloud, block_edge: int = 4, luma=None) -> TcResult:
     luma of the stored colors.
     """
     if block_edge < 1:
-        raise ValueError("block_edge must be >= 1")
+        raise InvalidInput(f"block_edge must be >= 1, got {block_edge}")
     if luma is None:
         luma = rgb_to_luma(pc.colors[:, 0], pc.colors[:, 1], pc.colors[:, 2])
     else:

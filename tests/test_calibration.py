@@ -216,6 +216,24 @@ def test_record_order_invariance(synthetic_records):
     assert params_tuple(p1) == params_tuple(p2)
 
 
+def test_train_full_takes_any_iterable():
+    noisy = make_synthetic_records(noise_sigma=0.5, rng=np.random.default_rng(3))
+    params, diag = train_full(noisy)
+    again, again_diag = train_full(r for r in noisy)
+    assert params_tuple(again) == params_tuple(params) and again_diag == diag
+    assert stage_a_mos_vs_tqs(iter(noisy)) == stage_a_mos_vs_tqs(noisy)
+
+
+def test_record_columns_sort_once_and_pass_record_arrays_through(synthetic_records):
+    cols = cal.record_columns(synthetic_records)
+    shuffled = list(synthetic_records)
+    np.random.default_rng(5).shuffle(shuffled)
+    assert cal.record_columns(shuffled).tobytes() == cols.tobytes()
+    assert cal.record_columns(cols) is cols
+    subset = cols[cols.qp != 28]
+    assert cal.record_columns(subset) is subset
+
+
 def test_train_full_diagnostics_per_stage(synthetic_records):
     _params, diag = train_full(synthetic_records)
     # 20 contents x 4 pqs x 5 qp stimuli; 80 (content, pqs) alphas; 4 pqs levels
@@ -281,7 +299,7 @@ def per_group_fit_line(stage, records, group_of, x_of, y_of):
 
 
 def grouped(stage, records):
-    cols = cal._canonical(records)
+    cols = cal.record_columns(records)
     diag = FitDiagnostics()
     if stage == "A":
         fits = cal._fit_groups("A", [cols.content, cols.pqs], tqs_from_qp(cols.qp), cols.mos, diag)

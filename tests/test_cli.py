@@ -150,6 +150,51 @@ def test_missing_input_file_is_an_error_line(tmp_path, capsys, argv):
     assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
 
 
+@pytest.mark.parametrize("argv, says", [
+    (["train", "NO_TC", "--out-params", "p.json"], "NO_TC: line 1: no column 'tc'"),
+    (["loocv", "NO_TC"], "NO_TC: line 1: no column 'tc'"),
+    (["splits", "NO_TC", "--seed", 1], "NO_TC: line 1: no column 'tc'"),
+    (["train", "BAD_PQS", "--out-params", "p.json"],
+     "BAD_PQS: line 3: column 'pqs': 'x' is not a finite float"),
+    (["loocv", "BAD_PQS"], "BAD_PQS: line 3: column 'pqs': 'x' is not a finite float"),
+    (["splits", "BAD_PQS", "--seed", 1], "BAD_PQS: line 3: column 'pqs': 'x' is not a finite float"),
+    (["train", "BAD_QP", "--out-params", "p.json"],
+     "BAD_QP: line 2: column 'qp': '22.5' is not a finite int"),
+    (["eval", "NO_MOS"], "NO_MOS: line 1: no column 'mos'"),
+    (["eval", "NAN_MOS"], "NAN_MOS: line 3: column 'mos': 'nan' is not a finite float"),
+    (["eval", "SHORT_ROW"], "SHORT_ROW: line 4: column 'mos': '' is not a finite float"),
+    (["eval", "THREE_ROWS"], "THREE_ROWS: 3 score rows, need at least 4"),
+    (["significance", "NO_RESIDUAL", "NO_RESIDUAL"], "NO_RESIDUAL: line 1: no column 'residual'"),
+    (["tc", "CLOUD", "--block-edge", 0], "CLOUD: block_edge must be >= 1, got 0"),
+])
+def test_bad_csv_or_option_is_one_error_line(tmp_path, capsys, argv, says):
+    from streampcq.pointcloud import PointCloud, write_ply
+    training = tmp_path / "training.csv"
+    write_training_csv(training, make_synthetic_records(tc_values=[20.0, 50.0, 80.0]))
+    lines = training.read_text().splitlines()
+    content, _pqs, rest = lines[2].split(",", 2)
+    texts = {
+        "NO_TC": training.read_text().replace("tbpp,tc,", "tbpp,t,"),
+        "BAD_PQS": "\n".join(lines[:2] + [f"{content},x,{rest}"] + lines[3:]),
+        "BAD_QP": "\n".join([lines[0], lines[1].replace(",22,", ",22.5,")] + lines[2:]),
+        "NO_MOS": "objective,score\n1,2\n2,3\n3,4\n4,5\n5,5\n",
+        "NAN_MOS": "objective,mos\n1,2\n2,nan\n3,4\n4,5\n5,5\n",
+        "SHORT_ROW": "objective,mos\n1,2\n2,3\n3\n4,5\n5,5\n",
+        "THREE_ROWS": "objective,mos\n1,2\n2,3\n3,4\n",
+        "NO_RESIDUAL": "r\n1\n2\n3\n",
+    }
+    names = {"p.json": tmp_path / "p.json", "CLOUD": tmp_path / "c.ply"}
+    for name, text in texts.items():
+        names[name] = tmp_path / f"{name}.csv"
+        names[name].write_text(text)
+    write_ply(names["CLOUD"], PointCloud(np.array([[0, 0, 0], [1, 0, 0]], dtype=np.int32),
+                                         np.array([[0, 0, 0], [255, 255, 255]], dtype=np.uint8)))
+    assert run([names.get(a, a) for a in argv]) == 1
+    err = capsys.readouterr().err
+    name = next(a for a in argv if a in names)
+    assert err == "error: " + says.replace(name, str(names[name]), 1) + "\n"
+
+
 def test_synth_incomplete_schema_is_an_error_line(tmp_path, capsys):
     schema, stream = tmp_path / "schema.json", tmp_path / "fix.bin"
     schema.write_text('{"unit_codes": {}}')

@@ -489,6 +489,36 @@ def test_summaries_are_column_mean_and_sample_std():
     assert single["n_splits"] == 1
 
 
+def test_results_do_not_depend_on_row_order():
+    noisy = make_synthetic_records(noise_sigma=0.5, rng=np.random.default_rng(3))
+    shuffled = list(noisy)
+    np.random.default_rng(9).shuffle(shuffled)
+    folds, summary = loocv(noisy)
+    again, again_summary = loocv(shuffled)
+    assert list(again) == list(folds) and again_summary == summary
+    assert all(report_bits(again[k]) == report_bits(rep) for k, rep in folds.items())
+    splits = random_split_eval(noisy, n_splits=8, seed=2)
+    assert random_split_eval(shuffled, n_splits=8, seed=2) == splits
+
+
+def test_records_are_sorted_once_per_conversion(monkeypatch):
+    noisy = make_synthetic_records(noise_sigma=0.5, rng=np.random.default_rng(3))
+    calls = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(keys) or lexsort(keys))
+
+    def sorts(run):
+        calls.clear()
+        run()
+        return len(calls)
+
+    assert sorts(lambda: loocv(noisy)) == 1
+    assert sorts(lambda: random_split_eval(noisy, n_splits=8, seed=2)) == 1
+    assert sorts(lambda: train_full(noisy)) == 1
+    cols = record_columns(noisy)
+    assert sorts(lambda: train_full(cols)) == 0
+
+
 # ---------------------------------------------------------------------------
 # F-test
 
