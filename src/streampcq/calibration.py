@@ -10,14 +10,14 @@ betas per pqs level and fits them on 1/pqs.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateDesign, InvalidInput
+from .errors import DegenerateDesign
 from .model import ModelParams, tqs_from_qp
+from .table import finite_float, read_table
 
 __all__ = [
     "TRAINING_VARIANT",
@@ -31,7 +31,6 @@ __all__ = [
     "stage_c_alpha_tc",
     "stage_d_beta_pqs",
     "train_full",
-    "read_csv_columns",
     "read_training_csv",
 ]
 
@@ -60,37 +59,11 @@ class FitDiagnostics:
     coefficients: dict = field(default_factory=dict)    # stage name -> tuple
 
 
-def read_csv_columns(path, kinds: dict) -> list:
-    """One tuple per data row of the CSV file at `path`: the cell of each
-    column of `kinds` ({name: str, int or float}) read as its kind.  A missing
-    column, or a cell that does not read as a finite value of its kind, is an
-    InvalidInput that names the file, line and column."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh, restval="")  # a short row's missing cells
-        for name in kinds:
-            if name not in (reader.fieldnames or ()):
-                raise InvalidInput(f"{path}: line 1: no column {name!r}")
-        rows = []
-        for row in reader:
-            cells = []
-            for name, kind in kinds.items():
-                try:
-                    value = kind(row[name])
-                except ValueError:
-                    value = math.nan
-                if isinstance(value, float) and not math.isfinite(value):
-                    raise InvalidInput(f"{path}: line {reader.line_num}: column {name!r}: "
-                                       f"{row[name]!r} is not a finite {kind.__name__}")
-                cells.append(value)
-            rows.append(tuple(cells))
-        return rows
-
-
 def read_training_csv(path) -> list:
     """The training records of a CSV file with the columns content, pqs, qp,
-    tbpp, tc and mos, in file order; see read_csv_columns for bad input."""
-    kinds = dict(zip(_FIELDS, (str, float, int, float, float, float)))
-    return [TrainingRecord(*row) for row in read_csv_columns(path, kinds)]
+    tbpp, tc and mos, in file order; see table.read_table for bad input."""
+    kinds = dict(zip(_FIELDS, (str, finite_float, int, finite_float, finite_float, finite_float)))
+    return [TrainingRecord(*row.values) for row in read_table(path, kinds)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,17 @@
 """Command-line surface.
 
 Every subcommand is a thin wrapper over one library operation and speaks
-CSV (UTF-8, header row, '.' decimal); pass --json where available for a
-machine-readable mirror.  Deterministic: identical inputs and seed give
-byte-identical outputs.
+CSV (header row, '.' decimal; see `table`): input files and --out files are
+UTF-8 whatever the locale.  Pass --json where available for a
+machine-readable mirror.  Bad input ends a command with one `error:` line
+and a non-zero exit, except that `extract`, `tc` and `score` fail only the
+bad stream, cloud or row, write the rest and exit 1.  Deterministic:
+identical inputs and seed give byte-identical outputs.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -25,6 +27,7 @@ from . import evaluation as ev
 from . import pointcloud as pcio
 from .errors import InvalidInput, NonPositivePqs, StreamPcqError
 from .model import ModelParams, VARIANTS, check_qp, predict
+from .table import finite_float, read_table, write_table
 
 
 def _load_schema(path):
@@ -44,21 +47,6 @@ def _load_params(path, variant=None):
     return p
 
 
-def _write_rows(out, header, rows, as_json=False):
-    fh = open(out, "w", newline="") if out else sys.stdout
-    try:
-        if as_json:
-            json.dump([dict(zip(header, r)) for r in rows], fh, indent=2)
-            fh.write("\n")
-        else:
-            w = csv.writer(fh)
-            w.writerow(header)
-            w.writerows(rows)
-    finally:
-        if out:
-            fh.close()
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -76,7 +64,7 @@ def cmd_extract(args) -> int:
             continue
         rows.append([stream, feats.pqs, feats.qp, feats.texture_bits,
                      feats.point_count, repr(feats.tbpp), feats.point_count_source])
-    _write_rows(args.out, ["stream", "pqs", "qp", "texture_bits", "point_count",
+    write_table(args.out, ["stream", "pqs", "qp", "texture_bits", "point_count",
                            "tbpp", "point_count_source"], rows, args.json)
     for stream, msg in failures:
         print(f"error: {stream}: {msg}", file=sys.stderr)
@@ -86,18 +74,19 @@ def cmd_extract(args) -> int:
 def cmd_score(args) -> int:
     params = _load_params(args.params, args.variant)
     rows, inputs, failures = [], [], []
-    with open(args.features, newline="") as fh:
-        for i, row in enumerate(csv.DictReader(fh)):
-            try:
-                pqs, qp, tbpp = float(row["pqs"]), int(row["qp"]), float(row["tbpp"])
-                if pqs <= 0:
-                    raise NonPositivePqs(f"pqs must be positive, got {pqs}")
-                check_qp(qp)
-            except (StreamPcqError, KeyError, ValueError) as exc:
-                failures.append((i, str(exc)))
-                continue
-            inputs.append((pqs, qp, tbpp))
-            rows.append((i, [row.get("stream", str(i)), row["pqs"], row["qp"], row["tbpp"]]))
+    kinds = {"pqs": finite_float, "qp": int, "tbpp": finite_float}
+    for i, row in enumerate(read_table(args.features, kinds)):
+        try:
+            pqs, qp, tbpp = row.values
+            if pqs <= 0:
+                raise NonPositivePqs(f"pqs must be positive, got {pqs}")
+            check_qp(qp)
+        except StreamPcqError as exc:
+            failures.append((i, str(exc)))
+            continue
+        inputs.append((pqs, qp, tbpp))
+        cells = dict(zip(row.header, row.texts))
+        rows.append((i, [cells.get("stream", str(i)), *(cells[k] for k in kinds)]))
     pqs, qp, tbpp = np.array(inputs, dtype=float).reshape(-1, 3).T
     with np.errstate(over="ignore", invalid="ignore"):  # inf and nan, as in scalar arithmetic
         pred = predict(params, SimpleNamespace(pqs=pqs, qp=qp, tbpp=tbpp))
@@ -112,7 +101,7 @@ def cmd_score(args) -> int:
         if args.clamp:
             values[0] = min(100.0, max(0.0, values[0]))
         written.append(row + [repr(v) for v in values])
-    _write_rows(args.out, ["stream", "pqs", "qp", "tbpp", *terms], written, args.json)
+    write_table(args.out, ["stream", "pqs", "qp", "tbpp", *terms], written, args.json)
     for i, msg in sorted(failures):
         print(f"error: row {i}: {msg}", file=sys.stderr)
     return 1 if failures else 0
@@ -128,7 +117,7 @@ def cmd_tc(args) -> int:
             failures.append((cloud, str(exc)))
             continue
         rows.append([cloud, res.block_edge, res.blocks_used, repr(res.tc)])
-    _write_rows(args.out, ["cloud", "block_edge", "blocks_used", "tc"], rows, args.json)
+    write_table(args.out, ["cloud", "block_edge", "blocks_used", "tc"], rows, args.json)
     for cloud, msg in failures:
         print(f"error: {cloud}: {msg}", file=sys.stderr)
     return 1 if failures else 0
@@ -142,14 +131,15 @@ def cmd_train(args) -> int:
         rows = [[stage, repr(diag.stage_rss.get(stage)), diag.stage_samples.get(stage),
                  " ".join(repr(v) for v in diag.coefficients.get(stage, ()))]
                 for stage in sorted(set(diag.stage_rss) | set(diag.coefficients))]
-        _write_rows(args.diagnostics, ["stage", "rss", "samples", "coefficients"], rows)
+        write_table(args.diagnostics, ["stage", "rss", "samples", "coefficients"], rows)
     for stage, key, reason in diag.skipped_groups:
         print(f"note: stage {stage} skipped group {key}: {reason}", file=sys.stderr)
     return 0
 
 
 def _read_scores_csv(path):
-    rows = cal.read_csv_columns(path, {"objective": float, "mos": float})
+    rows = [row.values for row in read_table(path, {"objective": finite_float,
+                                                     "mos": finite_float})]
     if len(rows) < 4:
         raise InvalidInput(f"{path}: {len(rows)} score rows, need at least 4")
     obj, mos = zip(*rows)
@@ -159,7 +149,7 @@ def _read_scores_csv(path):
 def cmd_eval(args) -> int:
     rep = ev.evaluate(_read_scores_csv(args.scores))
     b1, b2, b3, b4 = rep.logistic_params
-    _write_rows(args.out, ["plcc", "srcc", "rmse", "beta1", "beta2", "beta3",
+    write_table(args.out, ["plcc", "srcc", "rmse", "beta1", "beta2", "beta3",
                            "beta4", "converged"],
                 [[repr(rep.plcc), repr(rep.srcc), repr(rep.rmse),
                   repr(b1), repr(b2), repr(b3), repr(b4), rep.converged]], args.json)
@@ -174,7 +164,7 @@ def cmd_loocv(args) -> int:
     for stat in ("mean", "std"):
         if summary[stat]:
             rows.append([stat] + [repr(float(summary[stat][k])) for k in ("plcc", "srcc", "rmse")])
-    _write_rows(args.out, ["fold", "plcc", "srcc", "rmse"], rows, args.json)
+    write_table(args.out, ["fold", "plcc", "srcc", "rmse"], rows, args.json)
     for held, msg in summary["failed_folds"].items():
         print(f"error: fold {held}: {msg}", file=sys.stderr)
     for held, r in folds.items():
@@ -184,12 +174,14 @@ def cmd_loocv(args) -> int:
 
 
 def cmd_splits(args) -> int:
+    if args.n < 1:
+        raise InvalidInput(f"--n must be >= 1, got {args.n}")
     records = cal.read_training_csv(args.training)
     results, summary = ev.random_split_eval(
         records, n_splits=args.n, n_train=args.train_contents,
         seed=args.seed, variant=args.variant)
     rows = [[i, repr(p), repr(s), repr(r)] for i, (p, s, r) in enumerate(results)]
-    _write_rows(args.out, ["split", "plcc", "srcc", "rmse"], rows, args.json)
+    write_table(args.out, ["split", "plcc", "srcc", "rmse"], rows, args.json)
     if summary["mean"]:
         print(f"seed={summary['seed']} n={summary['n_splits']} "
               f"mean plcc={summary['mean']['plcc']:.4f} "
@@ -201,7 +193,7 @@ def cmd_splits(args) -> int:
 
 def cmd_significance(args) -> int:
     names = [Path(p).stem for p in args.residuals]
-    residuals = [np.array([r for r, in cal.read_csv_columns(p, {"residual": float})])
+    residuals = [np.array([row.values[0] for row in read_table(p, {"residual": finite_float})])
                  for p in args.residuals]
     encode = {"row-better": "1", "equivalent": "0.5", "column-better": "0"}
     rows = []
@@ -213,7 +205,7 @@ def cmd_significance(args) -> int:
             else:
                 row.append(encode[ev.f_test(ri, rj, level=args.level).decision])
         rows.append(row)
-    _write_rows(args.out, ["model"] + names, rows, args.json)
+    write_table(args.out, ["model"] + names, rows, args.json)
     return 0
 
 

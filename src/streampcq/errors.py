@@ -62,9 +62,9 @@ class InvalidParams(StreamPcqError, ValueError):
 # --- tables and options ---
 
 class InvalidInput(StreamPcqError, ValueError):
-    """A CSV table without a column it needs, with a cell that is not a
-    finite value of its column's kind or with too few rows (the message names
-    the file, line and column), or an option value out of range."""
+    """A CSV table with bytes that are not UTF-8, without a column it needs,
+    with a cell its column's kind refuses (the message names the file, line
+    and column) or with too few rows, or an option value out of range."""
 
 
 # --- point cloud ---

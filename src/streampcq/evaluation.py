@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDesign, StreamPcqError, ZeroVariance
+from .errors import DegenerateDesign, InvalidInput, StreamPcqError, ZeroVariance
 from .calibration import TRAINING_VARIANT, record_columns, train_full
 from .model import predict as model_predict
 
@@ -366,6 +366,10 @@ def random_split_eval(records, n_splits: int = 1000, n_train: int = 10,
     """
     if seed is None:
         raise ValueError("seed is mandatory for reproducibility")
+    if n_splits < 0:
+        raise InvalidInput(f"n_splits must be >= 0, got {n_splits}")
+    if n_train < 1:
+        raise InvalidInput(f"n_train must be >= 1, got {n_train}")
     cols = record_columns(records)
     contents = np.unique(cols.content)
     if len(contents) < 2:

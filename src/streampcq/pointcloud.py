@@ -70,9 +70,9 @@ def read_ply(path) -> PointCloud:
         data = fh.read()
 
     end = data.find(b"end_header")
-    if not data.startswith(b"ply") or end < 0:
+    nl = data.find(b"\n", end)
+    if not data.startswith(b"ply") or end < 0 or nl < 0:
         raise MalformedHeader(f"{path}: not a PLY file")
-    nl = data.index(b"\n", end)
     header = data[: nl].decode("ascii", errors="replace")
     body = data[nl + 1 :]
 
@@ -81,14 +81,17 @@ def read_ply(path) -> PointCloud:
     props = []          # (name, numpy dtype code, byte size) for element vertex
     in_vertex = False
     for line in header.splitlines():
-        tok = line.split()
-        if not tok:
+        tok = line.split() + ["", ""]  # a missing token reads as ""
+        if not tok[0]:
             continue
         if tok[0] == "format":
             fmt = tok[1]
         elif tok[0] == "element":
             in_vertex = tok[1] == "vertex"
             if in_vertex:
+                if not tok[2].isdigit() or int(tok[2]) == 0:
+                    raise MalformedHeader(f"vertex count {tok[2]!r} "
+                                          "is not a positive whole number")
                 vertex_count = int(tok[2])
         elif tok[0] == "property" and in_vertex:
             if tok[1] == "list":
@@ -109,11 +112,15 @@ def read_ply(path) -> PointCloud:
         raise UnsupportedPly(f"unknown format {fmt!r}")
 
     if fmt == "ascii":
-        rows = body.decode("ascii").split()
         ncol = len(props)
+        try:
+            rows = body.decode("ascii").split()
+            arr = np.array(rows[: vertex_count * ncol], dtype=float)
+        except ValueError as exc:  # not ASCII, or a value that is not a number
+            raise MalformedHeader(f"ASCII body: {exc}") from None
         if len(rows) < vertex_count * ncol:
             raise MalformedHeader("fewer vertex values than declared")
-        arr = np.array(rows[: vertex_count * ncol], dtype=float).reshape(vertex_count, ncol)
+        arr = arr.reshape(vertex_count, ncol)
         cols = {name: arr[:, i] for i, (name, _, _) in enumerate(props)}
     else:
         dtype = np.dtype([(name, "<" + code) for name, code, _ in props])

@@ -8,13 +8,13 @@ scores are pooled.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateRange, ZeroVarianceSubject
+from .errors import DegenerateRange, InvalidInput, ZeroVarianceSubject
+from .table import rating, read_table
 
 __all__ = [
     "SubjectiveMatrix",
@@ -50,15 +50,16 @@ class SubjectiveMatrix:
 
     @classmethod
     def read_csv(cls, path) -> "SubjectiveMatrix":
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        header = rows[0]
-        subject_ids = tuple(header[1:])
-        stim_ids, data = [], []
-        for row in rows[1:]:
-            stim_ids.append(row[0])
-            data.append([float(v) if v != "" else math.nan for v in row[1:]])
-        return cls(np.array(data), tuple(stim_ids), subject_ids)
+        """The ratings CSV at `path`: a stimulus id, then one column per
+        subject, in which a blank or missing cell is a missing rating."""
+        table = read_table(path, lambda header: dict.fromkeys(header, rating)
+                           | dict.fromkeys(header[:1], str))
+        rows = [row.values for row in table]
+        try:
+            return cls(np.array([r[1:] for r in rows]), tuple(r[0] for r in rows),
+                       tuple(table[0].header[1:]) if table else ())
+        except ValueError as exc:
+            raise InvalidInput(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -166,6 +170,25 @@ def test_missing_input_file_is_an_error_line(tmp_path, capsys, argv):
     (["eval", "THREE_ROWS"], "THREE_ROWS: 3 score rows, need at least 4"),
     (["significance", "NO_RESIDUAL", "NO_RESIDUAL"], "NO_RESIDUAL: line 1: no column 'residual'"),
     (["tc", "CLOUD", "--block-edge", 0], "CLOUD: block_edge must be >= 1, got 0"),
+    (["score", "BYTE_FEATURES"],
+     "BYTE_FEATURES: line 3: column 'stream': byte 0xff is not UTF-8"),
+    (["eval", "BYTE_SCORES"], "BYTE_SCORES: line 3: column 'mos': byte 0xff is not UTF-8"),
+    (["train", "BYTE_TRAINING", "--out-params", "p.json"],
+     "BYTE_TRAINING: line 3: column 'content': byte 0xff is not UTF-8"),
+    (["loocv", "BYTE_TRAINING"],
+     "BYTE_TRAINING: line 3: column 'content': byte 0xff is not UTF-8"),
+    (["splits", "BYTE_TRAINING", "--seed", 1],
+     "BYTE_TRAINING: line 3: column 'content': byte 0xff is not UTF-8"),
+    (["significance", "BYTE_RESIDUALS", "BYTE_RESIDUALS"],
+     "BYTE_RESIDUALS: line 1: column 1: byte 0xff is not UTF-8"),
+    (["score", "NO_TBPP"], "NO_TBPP: line 1: no column 'tbpp'"),
+    (["splits", "training.csv", "--seed", 1, "--n", 0], "--n must be >= 1, got 0"),
+    (["splits", "training.csv", "--seed", 1, "--n", -1], "--n must be >= 1, got -1"),
+    (["splits", "training.csv", "--seed", 1, "--train-contents", 0],
+     "n_train must be >= 1, got 0"),
+    (["splits", "training.csv", "--seed", 1, "--train-contents", -1],
+     "n_train must be >= 1, got -1"),
+    (["tc", "VERTEX_TWO"], "VERTEX_TWO: vertex count 'two' is not a positive whole number"),
 ])
 def test_bad_csv_or_option_is_one_error_line(tmp_path, capsys, argv, says):
     from streampcq.pointcloud import PointCloud, write_ply
@@ -182,13 +205,21 @@ def test_bad_csv_or_option_is_one_error_line(tmp_path, capsys, argv, says):
         "SHORT_ROW": "objective,mos\n1,2\n2,3\n3\n4,5\n5,5\n",
         "THREE_ROWS": "objective,mos\n1,2\n2,3\n3,4\n",
         "NO_RESIDUAL": "r\n1\n2\n3\n",
+        "NO_TBPP": "stream,pqs,qp\ns1,0.25,46\ns2,0.5,22\n",
+        "BYTE_FEATURES": "stream,pqs,qp,tbpp\ns1,0.25,46,0.5\n\xff,0.5,22,0.5\n",
+        "BYTE_SCORES": "objective,mos\n1,2\n2,3\xff\n3,4\n4,5\n5,5\n",
+        "BYTE_TRAINING": "\n".join(lines[:2] + ["\xff" + lines[2]] + lines[3:]),
+        "BYTE_RESIDUALS": "\xffresidual\n1\n2\n3\n",
     }
-    names = {"p.json": tmp_path / "p.json", "CLOUD": tmp_path / "c.ply"}
+    names = {"p.json": tmp_path / "p.json", "CLOUD": tmp_path / "c.ply",
+             "training.csv": training, "VERTEX_TWO": tmp_path / "two.ply"}
     for name, text in texts.items():
         names[name] = tmp_path / f"{name}.csv"
-        names[name].write_text(text)
+        names[name].write_bytes(text.encode("latin-1"))  # "\xff": a byte that is not UTF-8
     write_ply(names["CLOUD"], PointCloud(np.array([[0, 0, 0], [1, 0, 0]], dtype=np.int32),
                                          np.array([[0, 0, 0], [255, 255, 255]], dtype=np.uint8)))
+    names["VERTEX_TWO"].write_bytes(
+        names["CLOUD"].read_bytes().replace(b"vertex 2", b"vertex two"))
     assert run([names.get(a, a) for a in argv]) == 1
     err = capsys.readouterr().err
     name = next(a for a in argv if a in names)
@@ -270,6 +301,41 @@ def test_score_fails_only_rows_out_of_range(tmp_path, capsys):
     assert [r["stream"] for r in read_csv(out)] == ["s1", "s7"]
     assert "error: row 5: prediction is not finite: pmos=inf, pmos_t=inf\n" in (
         capsys.readouterr().err)
+
+
+def test_score_bad_cell_fails_only_its_row(tmp_path, capsys):
+    feat = tmp_path / "features.csv"
+    feat.write_text("stream,pqs,qp,tbpp\ns1,0.25,46,0.5\ns2,oops,46,0.5\n"
+                    "s3,0.25,22.5,0.5\ns4,0.25,46,nan\ns5\n")
+    out = tmp_path / "scores.csv"
+    assert run(["score", feat, "--out", out]) == 1
+    assert [r["stream"] for r in read_csv(out)] == ["s1"]
+    assert capsys.readouterr().err == (
+        f"error: row 1: {feat}: line 3: column 'pqs': 'oops' is not a finite float\n"
+        f"error: row 2: {feat}: line 4: column 'qp': '22.5' is not a finite int\n"
+        f"error: row 3: {feat}: line 5: column 'tbpp': 'nan' is not a finite float\n"
+        f"error: row 4: {feat}: line 6: column 'pqs': '' is not a finite float\n")
+
+
+def test_tables_are_utf8_whatever_the_locale(tmp_path):
+    # Under an ASCII locale with UTF-8 mode off, a stream named fé.bin goes
+    # through extract and score to the same bytes as under the default locale.
+    stream = tmp_path / "fé.bin"
+    run(["synth", "--pqs", 0.5, "--qp", 28, "--texture-bits", 8000,
+         "--points", 1000, "--out", stream])
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    default = {**os.environ, "PYTHONPATH": src}
+    ascii_locale = {**default, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0"}
+    written = []
+    for env, flags in ((default, []), (ascii_locale, ["-X", "utf8=0"])):
+        for argv in (["extract", stream.name, "--out", "features.csv"],
+                     ["score", "features.csv", "--out", "scores.csv"]):
+            done = subprocess.run([sys.executable, *flags, "-m", "streampcq.cli", *argv],
+                                  cwd=tmp_path, env=env, capture_output=True)
+            assert (done.returncode, done.stderr) == (0, b"")
+        written.append([(tmp_path / f).read_bytes() for f in ("features.csv", "scores.csv")])
+    assert written[0] == written[1]
+    assert all(out.splitlines()[1].startswith("fé.bin,".encode()) for out in written[0])
 
 
 def test_score_predicts_every_row_in_one_call(tmp_path, monkeypatch):

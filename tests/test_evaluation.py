@@ -9,7 +9,7 @@ from scipy import stats as sps
 from conftest import make_synthetic_records
 from streampcq import evaluation
 from streampcq.calibration import record_columns, train_full
-from streampcq.errors import DegenerateDesign, ZeroVariance
+from streampcq.errors import DegenerateDesign, InvalidInput, ZeroVariance
 from streampcq.evaluation import (
     ScorePairSet,
     average_ranks,
@@ -401,6 +401,16 @@ def test_random_splits_zero_is_empty(synthetic_records):
     results, summary = random_split_eval(synthetic_records, n_splits=0, seed=1)
     assert results == []
     assert summary["mean"] is None
+
+
+@pytest.mark.parametrize("n_splits, n_train, says", [
+    (-1, 10, "n_splits must be >= 0, got -1"),
+    (5, 0, "n_train must be >= 1, got 0"),
+    (5, -1, "n_train must be >= 1, got -1"),
+])
+def test_random_splits_reject_bad_counts(synthetic_records, n_splits, n_train, says):
+    with pytest.raises(InvalidInput, match=says):
+        random_split_eval(synthetic_records, n_splits=n_splits, n_train=n_train, seed=1)
 
 
 def test_random_splits_require_seed(synthetic_records):

@@ -61,3 +61,11 @@ def test_cli_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_only_the_table_module_imports_csv():
+    importers = [p.name for p in sorted(PACKAGE.glob("*.py"))
+                 if any(isinstance(n, ast.Import) and any(a.name == "csv" for a in n.names)
+                        or isinstance(n, ast.ImportFrom) and n.module == "csv"
+                        for n in ast.walk(ast.parse(p.read_text())))]
+    assert importers == ["table.py"]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from streampcq.errors import NoEligibleBlocks, UnsupportedPly
+from streampcq.errors import MalformedHeader, NoEligibleBlocks, UnsupportedPly
 from streampcq.pointcloud import (
     PointCloud,
     compute_tc,
@@ -54,6 +54,38 @@ def test_big_endian_rejected(tmp_path):
         b"end_header\n" + b"\x00" * 15
     )
     with pytest.raises(UnsupportedPly):
+        read_ply(p)
+
+
+HEADER = (b"ply\nformat %s 1.0\nelement vertex %s\n"
+          b"property float x\nproperty float y\nproperty float z\n"
+          b"property uchar red\nproperty uchar green\nproperty uchar blue\nend_header\n")
+
+
+@pytest.mark.parametrize("data, says", [
+    (b"PLY\n", "not a PLY file"),
+    (HEADER[:-1] % (b"ascii", b"1"), "not a PLY file"),
+    (b"ply\nelement vertex 1\nend_header\n0 0 0 0 0 0\n", "missing format or vertex element"),
+    (b"ply\nformat ascii 1.0\nelement\nend_header\n", "missing format or vertex element"),
+    (b"ply\nformat ascii 1.0\nelement vertex\nend_header\n",
+     "vertex count '' is not a positive whole number"),
+    (HEADER % (b"ascii", b"2") + b"0 0 0 1 2 3\n", "fewer vertex values than declared"),
+    (HEADER % (b"binary_little_endian", b"2") + bytes(15), "binary body shorter than declared"),
+    (HEADER % (b"ascii", b"two") + b"0 0 0 1 2 3\n",
+     "vertex count 'two' is not a positive whole number"),
+    (HEADER % (b"binary_little_endian", b"-1") + bytes(120),
+     "vertex count '-1' is not a positive whole number"),
+    (HEADER % (b"ascii", b"0"), "vertex count '0' is not a positive whole number"),
+    (HEADER % (b"ascii", b"1") + b"0 0 zero 1 2 3\n",
+     "ASCII body: could not convert string to float: 'zero'"),
+    (HEADER % (b"ascii", b"1") + b"0 0 0 1 2 \xb3\n", "ASCII body: 'ascii' codec can't decode"),
+], ids=["not-ply", "no-newline", "no-format", "no-element-name", "no-count", "short-ascii",
+        "short-binary", "count-word", "count-negative", "count-zero", "ascii-word",
+        "ascii-non-ascii"])
+def test_malformed_ply_fails_typed(tmp_path, data, says):
+    p = tmp_path / "bad.ply"
+    p.write_bytes(data)
+    with pytest.raises(MalformedHeader, match=says):
         read_ply(p)
 
 

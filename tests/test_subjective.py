@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from streampcq.errors import DegenerateRange, ZeroVarianceSubject
+from streampcq.errors import DegenerateRange, InvalidInput, ZeroVarianceSubject
 from streampcq.evaluation import plcc
 from streampcq.subjective import (
     SubjectiveMatrix,
@@ -223,3 +223,30 @@ def test_matrix_csv_roundtrip(tmp_path):
     assert m.subject_ids == ("obsA", "obsB")
     assert np.isnan(m.ratings[1, 1])
     assert m.ratings[2, 0] == 50.0
+
+
+def test_matrix_csv_short_row_is_missing_ratings(tmp_path):
+    path = tmp_path / "ratings.csv"
+    path.write_text("stimulus,obsA,obsB,obsC\ns1,10,20,30\ns2,30\ns3,50,60,70\ns4,1,2,3\n")
+    m = SubjectiveMatrix.read_csv(path)
+    assert m.stimulus_ids == ("s1", "s2", "s3", "s4")
+    assert np.isnan(m.ratings[1, 1:]).all() and m.ratings[1, 0] == 30.0
+
+
+@pytest.mark.parametrize("data, says", [
+    (b"stimulus,obsA,obsB\ns1,10,20\ns2,x,40\ns3,50,60\n",
+     "line 3: column 'obsA': 'x' is not blank or a finite float"),
+    (b"stimulus,obsA,obsB\ns1,10,20\ns2,30,inf\ns3,50,60\n",
+     "line 3: column 'obsB': 'inf' is not blank or a finite float"),
+    (b"stimulus,obsA,obsB\ns1,10,20\ns2,30,4\xff\ns3,50,60\n",
+     "line 3: column 'obsB': byte 0xff is not UTF-8"),
+    (b"stimulus,obsA,obsA\ns1,10,20\ns2,30,40\n", "line 1: column 'obsA' repeats"),
+    (b"stimulus,obsA\ns1,10\ns2,30\n", "need at least 2 stimuli and 2 subjects"),
+    (b"", "need at least 2 stimuli and 2 subjects"),
+], ids=["word", "inf", "not-utf8", "repeated-subject", "one-subject", "empty"])
+def test_matrix_csv_bad_input_is_invalid_input(tmp_path, data, says):
+    path = tmp_path / "ratings.csv"
+    path.write_bytes(data)
+    with pytest.raises(InvalidInput) as ei:
+        SubjectiveMatrix.read_csv(path)
+    assert str(ei.value) == f"{path}: {says}"
