@@ -261,12 +261,17 @@ class BitReader:
         return (covering >> (-end % 8)) & ((1 << n) - 1)
 
     def read_ue(self, field=None) -> int:
-        zeros = 0
-        while not self.read_bits(1, field):
-            zeros += 1
-            if zeros > UE_MAX_LEADING_ZEROS:
+        # the leading zeros and the 1 bit after them, from one read of as many
+        # bits as the longest accepted prefix
+        n = min(UE_MAX_LEADING_ZEROS + 1, self.bits_left)
+        window = self.read_bits(n, field)
+        if not window:
+            if n > UE_MAX_LEADING_ZEROS:
                 raise UnrepresentableField(
                     f"ue(v) {field!r}: more than {UE_MAX_LEADING_ZEROS} leading zero bits")
+            raise BitstreamExhausted(field)
+        zeros = n - window.bit_length()
+        self.pos -= window.bit_length() - 1  # back to just after the 1 bit
         return (1 << zeros) - 1 + self.read_bits(zeros, field)
 
     def read_se(self, field=None) -> int:

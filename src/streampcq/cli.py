@@ -1,17 +1,18 @@
 """Command-line surface.
 
 Every subcommand is a thin wrapper over one library operation and speaks
-CSV (header row, '.' decimal; see `table`): input files and --out files are
-UTF-8 whatever the locale.  Pass --json where available for a
-machine-readable mirror.  Bad input ends a command with one `error:` line
-and a non-zero exit, except that `extract`, `tc` and `score` fail only the
-bad stream, cloud or row, write the rest and exit 1.  Deterministic:
-identical inputs and seed give byte-identical outputs.
+CSV (header row, '.' decimal; see `table`): input files, --out files and
+tables on stdout are UTF-8 whatever the locale.  Pass --json where
+available for a machine-readable mirror.  Bad input ends a command with one
+`error:` line and a non-zero exit, except that `extract`, `tc` and `score`
+fail only the bad stream, cloud or row, write the rest and exit 1.
+Deterministic: identical inputs and seed give byte-identical outputs.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -55,9 +56,10 @@ def cmd_extract(args) -> int:
     schema = _load_schema(args.schema)
     rows, failures = [], []
     for stream in args.streams:
-        meta = Path(args.sidecar_dir or Path(stream).parent) / (Path(stream).name + ".meta.json")
+        meta = os.path.join(args.sidecar_dir or os.path.dirname(stream),
+                            os.path.basename(stream) + ".meta.json")
         try:
-            sidecar = bs.load_sidecar(meta) if meta.exists() else None
+            sidecar = bs.load_sidecar(meta) if os.path.exists(meta) else None
             feats = bs.extract_features(stream, schema, sidecar)
         except (StreamPcqError, OSError) as exc:
             failures.append((stream, str(exc)))
@@ -226,7 +228,10 @@ def cmd_synth(args) -> int:
 # Parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; `main` finds each subcommand's
+    `cmd_<name>` function by name when it runs, so a replaced one is used."""
     ap = argparse.ArgumentParser(prog="streampcq",
                                  description="Bitstream-layer point-cloud quality toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -244,43 +249,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("streams", nargs="+")
     p.add_argument("--schema")
     p.add_argument("--sidecar-dir")
-    p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("score", parents=[table], help="predict quality from a feature CSV")
     p.add_argument("features")
     p.add_argument("--params")
     p.add_argument("--variant", choices=VARIANTS)
     p.add_argument("--clamp", action="store_true")
-    p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("tc", parents=[table], help="texture complexity of original clouds")
     p.add_argument("clouds", nargs="+")
     p.add_argument("--block-edge", type=int, default=4)
-    p.set_defaults(func=cmd_tc)
 
     p = sub.add_parser("train", parents=[training], help="re-derive model coefficients")
     p.add_argument("--out-params", required=True)
     p.add_argument("--diagnostics")
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", parents=[table], help="PLCC/SRCC/RMSE against MOS")
     p.add_argument("scores")
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("loocv", parents=[training, table], help="content-level leave-one-out")
-    p.set_defaults(func=cmd_loocv)
 
     p = sub.add_parser("splits", parents=[training, table],
                        help="seeded random train/validation splits")
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--train-contents", type=int, default=10)
-    p.set_defaults(func=cmd_splits)
 
     p = sub.add_parser("significance", parents=[table], help="pairwise F-test matrix")
     p.add_argument("residuals", nargs="+")
     p.add_argument("--level", type=float, default=0.95)
-    p.set_defaults(func=cmd_significance)
 
     p = sub.add_parser("synth", help="write a synthetic fixture bitstream")
     p.add_argument("--pqs", type=float, required=True)
@@ -290,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schema")
     p.add_argument("--sidecar", action="store_true")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_synth)
 
     return ap
 
@@ -298,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.command](args)
     except (StreamPcqError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

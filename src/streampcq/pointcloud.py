@@ -165,6 +165,25 @@ def write_ply(path, pc: PointCloud, binary: bool = False):
 # Texture complexity
 
 
+def _block_runs(positions, block_edge):
+    """(order, starts): a stable sort of the points by block, x then y then z,
+    and where each block's run of points starts in that order."""
+    cols = [np.floor_divide(positions[:, k], block_edge).astype(np.int64) for k in range(3)]
+    lows = [int(c.min()) for c in cols]
+    sx, sy, sz = (int(c.max()) - lo + 1 for c, lo in zip(cols, lows))
+    if sx * sy * sz <= np.iinfo(np.int64).max:
+        # one int64 key per block, in the same order as the three columns
+        bx, by, bz = (c - lo for c, lo in zip(cols, lows))
+        key = (bx * sy + by) * sz + bz
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        change = key[1:] != key[:-1]
+    else:  # the key would overflow int64
+        order = np.lexsort(cols[::-1])
+        change = np.logical_or.reduce([c[order][1:] != c[order][:-1] for c in cols])
+    return order, np.concatenate(([0], np.flatnonzero(change) + 1))
+
+
 def compute_tc(pc: PointCloud, block_edge: int = 4, luma=None) -> TcResult:
     """Mean per-block population std of luma over blocks with >= 2 points.
 
@@ -178,20 +197,14 @@ def compute_tc(pc: PointCloud, block_edge: int = 4, luma=None) -> TcResult:
     else:
         luma = np.asarray(luma, dtype=float)
 
-    blocks = np.floor_divide(pc.positions, block_edge)
-    # stable order so the reduction is deterministic run to run
-    order = np.lexsort((blocks[:, 2], blocks[:, 1], blocks[:, 0]))
-    blocks = blocks[order]
+    order, starts = _block_runs(pc.positions, block_edge)
     luma = luma[order]
-
-    change = np.any(blocks[1:] != blocks[:-1], axis=1)
-    starts = np.concatenate(([0], np.nonzero(change)[0] + 1))
-    counts = np.diff(np.append(starts, len(blocks)))
+    counts = np.diff(np.append(starts, len(order)))
     # per-block population variance, as np.std computes it for one block
     dev = luma - np.repeat(np.add.reduceat(luma, starts) / counts, counts)
     var = np.add.reduceat(dev * dev, starts) / counts
-    stds = np.sqrt(var[counts >= 2])
-    if not stds.size:
+    stds = np.sqrt(var[counts >= 2]).tolist()
+    if not stds:
         raise NoEligibleBlocks("no block contains two or more points")
     return TcResult(tc=float(math.fsum(stds) / len(stds)),
                     blocks_used=len(stds), block_edge=block_edge)

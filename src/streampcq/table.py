@@ -100,12 +100,18 @@ def read_table(path, kinds) -> list:
 
 
 def write_table(out, header, rows, as_json=False):
-    """Write `header` and `rows` to the file `out` in UTF-8, or to stdout if
+    """Write `header` and `rows` in UTF-8 to the file `out`, or to stdout if
     `out` is None: as CSV, or with `as_json` as a JSON list of one object per
     row.  A command-line path that is not text in the locale's encoding (its
     surrogate escapes) is written as the bytes it came from."""
-    fh = (open(out, "w", encoding="utf-8", errors="surrogateescape", newline="") if out
-          else sys.stdout)
+    if out:
+        fh = open(out, "w", encoding="utf-8", errors="surrogateescape", newline="")
+    elif hasattr(sys.stdout, "buffer"):
+        sys.stdout.flush()
+        fh = io.TextIOWrapper(sys.stdout.buffer, encoding="utf-8", errors="surrogateescape",
+                              newline="")
+    else:  # a text-only stream, such as an io.StringIO put in place of stdout
+        fh = sys.stdout
     try:
         if as_json:
             json.dump([dict(zip(header, r)) for r in rows], fh, indent=2)
@@ -117,3 +123,6 @@ def write_table(out, header, rows, as_json=False):
     finally:
         if out:
             fh.close()
+        elif fh is not sys.stdout:
+            fh.flush()
+            fh.detach()  # stdout's buffer stays open

@@ -99,6 +99,29 @@ def test_read_ue_caps_leading_zeros():
     assert bs.BitReader(bits("0" * 32 + "1" + "1" * 32)).read_ue() == 2**33 - 2
     with pytest.raises(UnrepresentableField):
         bs.BitReader(bytes(20)).read_ue("slice_point_count")  # 160 zero bits
+    # a reader past `pad` zero bits and then as many 1 bits as make `tail` end
+    # the data exactly; data ends on a byte, so the tail's length fixes the
+    # bit offset at which it starts
+    def reader_at(pad, tail):
+        lead = pad + -(pad + len(tail)) % 8
+        r = bs.BitReader(bits("0" * pad + "1" * (lead - pad) + tail))
+        r.read_bits(lead)
+        return r
+
+    for pad in range(8):
+        for zeros in range(33):
+            k = 2 ** (zeros + 1) - 2  # the largest value of this length
+            r = reader_at(pad, ue_bits(k))
+            assert (r.read_ue("f"), r.bits_left) == (k, 0)
+        for zeros in range(1, 33):
+            with pytest.raises(BitstreamExhausted, match="^bitstream exhausted while reading 'f'$"):
+                reader_at(pad, "0" * zeros).read_ue("f")
+            with pytest.raises(BitstreamExhausted, match="^bitstream exhausted while reading 'f'$"):
+                reader_at(pad, "0" * zeros + "1" + "1" * (zeros - 1)).read_ue("f")
+        for tail in ("", "1", "1" * 33):
+            with pytest.raises(UnrepresentableField,
+                               match="^ue\\(v\\) 'f': more than 32 leading zero bits$"):
+                reader_at(pad, "0" * 33 + tail).read_ue("f")
 
 
 @given(st.integers(min_value=-10000, max_value=10000))
@@ -123,21 +146,27 @@ FIELDS = st.one_of(
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(min_value=0, max_value=7), st.lists(FIELDS, max_size=20))
-def test_bit_io_matches_bit_string_reference(pad, fields):
+@given(st.integers(min_value=0, max_value=7), st.lists(FIELDS, max_size=20),
+       st.none() | st.integers(0, 2**33 - 2))
+def test_bit_io_matches_bit_string_reference(pad, fields, last_ue):
+    def reference(kind, n, v):
+        return (format(v, f"0{n}b") if kind == "u" else ue_bits(v) if kind == "ue"
+                else ue_bits(2 * v - 1 if v > 0 else -2 * v))
+
+    ref = "0" * pad + "".join(reference(*f) for f in fields)
+    if last_ue is not None:  # a filler field, then a ue codeword that ends the data
+        fill = -(len(ref) + len(ue_bits(last_ue))) % 8 or 8
+        fields = fields + [("u", fill, 1), ("ue", 0, last_ue)]
+        ref += reference("u", fill, 1) + ue_bits(last_ue)
     w = bs.BitWriter()
     w.write_bits(0, pad)
-    ref = "0" * pad
     for kind, n, v in fields:
         if kind == "u":
             w.write_bits(v, n)
-            ref += format(v, f"0{n}b")
         elif kind == "ue":
             w.write_ue(v)
-            ref += ue_bits(v)
         else:
             w.write_se(v)
-            ref += ue_bits(2 * v - 1 if v > 0 else -2 * v)
     data = w.getvalue()
     assert data == bits(ref)
     r = bs.BitReader(data)

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
@@ -328,14 +330,37 @@ def test_tables_are_utf8_whatever_the_locale(tmp_path):
     ascii_locale = {**default, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0"}
     written = []
     for env, flags in ((default, []), (ascii_locale, ["-X", "utf8=0"])):
-        for argv in (["extract", stream.name, "--out", "features.csv"],
-                     ["score", "features.csv", "--out", "scores.csv"]):
-            done = subprocess.run([sys.executable, *flags, "-m", "streampcq.cli", *argv],
-                                  cwd=tmp_path, env=env, capture_output=True)
-            assert (done.returncode, done.stderr) == (0, b"")
+        for argv, out in ((["extract", stream.name], "features.csv"),
+                          (["score", "features.csv"], "scores.csv")):
+            # the table once to --out, then to stdout, which gets the same bytes
+            stdout = []
+            for more in (["--out", out], []):
+                done = subprocess.run([sys.executable, *flags, "-m", "streampcq.cli", *argv,
+                                       *more], cwd=tmp_path, env=env, capture_output=True)
+                assert (done.returncode, done.stderr) == (0, b"")
+                stdout.append(done.stdout)
+            assert stdout == [b"", (tmp_path / out).read_bytes()]
         written.append([(tmp_path / f).read_bytes() for f in ("features.csv", "scores.csv")])
     assert written[0] == written[1]
     assert all(out.splitlines()[1].startswith("fé.bin,".encode()) for out in written[0])
+
+
+def test_one_parser_serves_every_call(tmp_path, monkeypatch):
+    assert build_parser() is build_parser()
+    feat, params = tmp_path / "features.csv", tmp_path / "p.json"
+    feat.write_text("stream,pqs,qp,tbpp\ns1,0.25,46,0.5\n")
+    ModelParams(f2=300.0).save(params)  # pmos above 100
+    out = tmp_path / "scores"
+    assert run(["score", feat, "--params", params, "--json", "--clamp", "--out", out]) == 0
+    assert json.loads(out.read_text())[0]["pmos"] == "100.0"
+    # neither option carries over to the next call
+    assert run(["score", feat, "--params", params, "--out", out]) == 0
+    assert float(read_csv(out)[0]["pmos"]) > 100
+    # a command replaced after the first call runs, as in a traced benchmark run
+    seen = []
+    monkeypatch.setattr(cli, "cmd_score", lambda args: seen.append(args.features) or 7)
+    assert run(["score", feat]) == 7
+    assert seen == [str(feat)]
 
 
 def test_score_predicts_every_row_in_one_call(tmp_path, monkeypatch):
@@ -481,3 +506,7 @@ def test_json_output(tmp_path):
     assert run(["extract", stream, "--json", "--out", out]) == 0
     data = json.loads(out.read_text())
     assert data[0]["qp"] == 28
+    # a text-only stream in place of stdout gets the same text
+    with contextlib.redirect_stdout(io.StringIO()) as text:
+        assert run(["extract", stream, "--json"]) == 0
+    assert text.getvalue() == out.read_text()

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from streampcq.errors import MalformedHeader, NoEligibleBlocks, UnsupportedPly
 from streampcq.pointcloud import (
     PointCloud,
+    _block_runs,
     compute_tc,
     read_ply,
     rgb_to_luma,
@@ -232,3 +235,49 @@ def test_tc_matches_per_block_std_loop(block_edge):
     res = compute_tc(pc, block_edge)
     assert res.blocks_used == len(stds)
     assert res.tc == pytest.approx(sum(stds) / len(stds), rel=1e-13)
+
+
+def lexsort_tc(pc, block_edge, luma):
+    """compute_tc with the blocks ordered by a three-column lexsort."""
+    blocks = np.floor_divide(pc.positions, block_edge)
+    order = np.lexsort((blocks[:, 2], blocks[:, 1], blocks[:, 0]))
+    blocks, luma = blocks[order], luma[order]
+    change = np.any(blocks[1:] != blocks[:-1], axis=1)
+    starts = np.concatenate(([0], np.nonzero(change)[0] + 1))
+    counts = np.diff(np.append(starts, len(blocks)))
+    dev = luma - np.repeat(np.add.reduceat(luma, starts) / counts, counts)
+    stds = np.sqrt((np.add.reduceat(dev * dev, starts) / counts)[counts >= 2])
+    return math.fsum(stds) / len(stds), len(stds)
+
+
+@pytest.mark.parametrize("low, high, block_edge", [
+    (0, 40, 1), (0, 40, 4), (-300, 300, 3),
+    (-2**20, 2**20 - 1, 1),  # the largest block key that fits int64
+    (-2**20, 2**20, 1),      # a block key just past int64
+    (-2**30, 2**30, 1),      # far past it
+    (-2**31, 2**31, 1),      # every int32: blocks one apart in x would share a 64-bit key
+    (-2**31, 2**31, 2**20),
+])
+def test_tc_is_bit_identical_to_the_lexsort_order(low, high, block_edge):
+    rng = np.random.default_rng(abs(low) + block_edge)
+    for n in (2, 50, 3000):
+        # about five points a block, in the blocks around a few centres, and
+        # the two corners
+        centres = rng.integers(low, high - 2 * block_edge, size=(max(1, n // 40), 3))
+        pos = (centres[rng.integers(0, len(centres), n)]
+               + rng.integers(0, 2 * block_edge, size=(n, 3)))
+        pos[0], pos[-1] = low, high - 1
+        pc = PointCloud(pos.astype(np.int32), rng.integers(0, 256, size=(n, 3)).astype(np.uint8))
+        luma = rng.normal(100, 40, n)
+        # the same order, not just the same sum
+        blocks = pc.positions // block_edge
+        assert np.array_equal(_block_runs(pc.positions, block_edge)[0],
+                              np.lexsort((blocks[:, 2], blocks[:, 1], blocks[:, 0])))
+        try:
+            want = lexsort_tc(pc, block_edge, luma)
+        except ZeroDivisionError:
+            with pytest.raises(NoEligibleBlocks):
+                compute_tc(pc, block_edge, luma)
+            continue
+        res = compute_tc(pc, block_edge, luma)
+        assert (res.tc, res.blocks_used) == want
