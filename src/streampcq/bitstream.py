@@ -5,13 +5,17 @@ syntax schema.  Extraction indexes the TLV units of a stream by reading
 their headers alone, then reads from each unit only the prefix its header
 fields can occupy; entropy-coded payload bodies are never read, which is
 what makes feature extraction cheap enough to run at any network node.
+A stream file is read with positional reads (`os.pread`, POSIX only), one
+per TLV header and one per header prefix, so no read fetches more bytes
+than those.
 """
 
 from __future__ import annotations
 
-import io
+import functools
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -127,6 +131,12 @@ class SyntaxSchema:
 
     def code_for(self, unit_class: str) -> int:
         return self.unit_codes[unit_class]
+
+    @functools.cached_property
+    def _plan(self) -> tuple:
+        """`_extraction_plan(self)`, built at the first extraction and kept
+        with the schema; a schema is not to be changed after that."""
+        return _extraction_plan(self)
 
     # -- serialization --
 
@@ -314,11 +324,10 @@ class BitWriter:
 # TLV framing
 
 
-def _unit_index(fh, schema: SyntaxSchema) -> list:
-    """(unit_type, body_offset, body_length) of every TLV unit of the seekable
-    binary file `fh`, in stream order.  Reads each TLV header and seeks past
-    its body."""
-    size = fh.seek(0, io.SEEK_END)
+def _unit_index(size: int, read_at, schema: SyntaxSchema) -> list:
+    """(unit_type, body_offset, body_length) of every TLV unit of a stream of
+    `size` bytes, in stream order; `read_at(offset, n)` returns the n bytes at
+    `offset`.  Reads each TLV header alone and skips its body."""
     if not size:
         raise EmptyInput("empty bitstream")
     index = []
@@ -327,8 +336,7 @@ def _unit_index(fh, schema: SyntaxSchema) -> list:
     while off < size:
         if off + hdr > size:
             raise TruncatedUnit(f"incomplete TLV header at byte {off}")
-        fh.seek(off)
-        head = fh.read(hdr)
+        head = read_at(off, hdr)
         utype = int.from_bytes(head[: schema.type_bytes], "big")
         length = int.from_bytes(head[schema.type_bytes :], schema.length_endian)
         off += hdr
@@ -341,21 +349,27 @@ def _unit_index(fh, schema: SyntaxSchema) -> list:
     return index
 
 
-def _seekable(data):
-    """A seekable binary file over `data`: the bytes themselves, or the file
-    at path `data`, read whole only when it cannot seek (a pipe)."""
+def _slicer(data):
+    """read_at(offset, n) over the bytes `data`."""
+    return lambda off, n: data[off : off + n]
+
+
+def _with_source(data, use):
+    """use(size, read_at) over `data`: the stream's bytes, sliced, or the
+    file at path `data`, read with `os.pread`, or read whole and sliced when
+    it cannot seek (a pipe).  The file is closed when `use` returns."""
     if isinstance(data, (bytes, bytearray)):
-        return io.BytesIO(data)
-    fh = open(data, "rb")
-    if fh.seekable():
-        return fh
-    with fh:
-        return io.BytesIO(fh.read())
+        return use(len(data), _slicer(data))
+    with open(data, "rb", buffering=0) as fh:
+        if not fh.seekable():
+            whole = fh.read()
+            return use(len(whole), _slicer(whole))
+        fd = fh.fileno()
+        return use(fh.seek(0, os.SEEK_END), lambda off, n: os.pread(fd, n, off))
 
 
 def read_tlv_units(data: bytes, schema: SyntaxSchema) -> list:
-    with io.BytesIO(data) as fh:
-        index = _unit_index(fh, schema)
+    index = _unit_index(len(data), _slicer(data), schema)
     return [TlvUnit(utype, data[off : off + length]) for utype, off, length in index]
 
 
@@ -488,7 +502,7 @@ def extract_features(
     """
     schema = schema or default_schema()
     sidecar = sidecar or {}
-    class_of = {c: name for name, c in schema.unit_codes.items()}
+    class_of, reads = schema._plan
 
     def resolve(name, in_stream, whole, decoded=None):
         """(value, source): the stream's value unless None, else the sidecar's
@@ -502,29 +516,26 @@ def extract_features(
             return int(decoded), "decoded-cloud"
         raise MissingField(name)
 
-    with _seekable(data) as fh:
+    def features_of(size, read_at):
         units_of: dict = {}  # unit class -> [(body_offset, body_length)]
-        for utype, off, length in _unit_index(fh, schema):
+        for utype, off, length in _unit_index(size, read_at, schema):
             cls = class_of.get(utype)
             if cls is not None:
                 units_of.setdefault(cls, []).append((off, length))
 
         def header_values(feature: str):
             """The target field of `feature` from each matching unit of its class, in stream order."""
-            t = schema.targets.get(feature)
-            path = schema.field_paths.get(t.unit_class) if t is not None else None
-            if not path or t.field not in {f.name for f in path}:
+            if feature not in reads:
                 return
-            prefix = (sum(f.max_bits for f in path) + 7) // 8  # bytes the path can consume
-            for off, length in units_of.get(t.unit_class, ()):
-                fh.seek(off)
-                head = fh.read(min(length, prefix))
+            unit_class, path, name, where, prefix = reads[feature]
+            for off, length in units_of.get(unit_class, ()):
+                head = read_at(off, min(length, prefix))
                 reader = BitReader(head)
                 fields = parse_header(head, path, reader=reader)
                 if trace is not None:
-                    trace.append((t.unit_class, reader.bits_consumed, 8 * length))
-                if all(fields.get(k) == v for k, v in t.where.items()):
-                    yield fields[t.field]
+                    trace.append((unit_class, reader.bits_consumed, 8 * length))
+                if all(fields.get(k) == v for k, v in where):
+                    yield fields[name]
 
         raw = next(header_values("pqs"), None)
         pqs, _ = resolve("pqs", None if raw is None else float(
@@ -536,10 +547,26 @@ def extract_features(
         slices = list(header_values("point_count"))  # one count per slice
         pc, source = resolve("point_count", sum(slices) if slices else None, whole=True,
                              decoded=decoded_point_count)
+        return BitstreamFeatures.from_counts(pqs, qp, texture_bits, pc, source)
 
-    features = BitstreamFeatures.from_counts(pqs, qp, texture_bits, pc, source)
+    features = _with_source(data, features_of)
     features.validate()
     return features
+
+
+def _extraction_plan(schema: SyntaxSchema) -> tuple:
+    """(class_of, reads): what extraction needs of `schema` alone.  class_of
+    maps unit codes to class names; reads maps each of pqs, qp and
+    point_count whose unit class has a field path naming its field to
+    (unit class, path, field, `where` items, bytes the path can consume)."""
+    reads = {}
+    for feature in ("pqs", "qp", "point_count"):
+        t = schema.targets.get(feature)
+        path = schema.field_paths.get(t.unit_class) if t is not None else None
+        if path and t.field in {f.name for f in path}:
+            reads[feature] = (t.unit_class, tuple(path), t.field, tuple(t.where.items()),
+                              (sum(f.max_bits for f in path) + 7) // 8)
+    return {c: name for name, c in schema.unit_codes.items()}, reads
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,10 @@ def cmd_extract(args) -> int:
         meta = os.path.join(args.sidecar_dir or os.path.dirname(stream),
                             os.path.basename(stream) + ".meta.json")
         try:
-            sidecar = bs.load_sidecar(meta) if os.path.exists(meta) else None
+            try:
+                sidecar = bs.load_sidecar(meta)
+            except FileNotFoundError:
+                sidecar = None
             feats = bs.extract_features(stream, schema, sidecar)
         except (StreamPcqError, OSError) as exc:
             failures.append((stream, str(exc)))

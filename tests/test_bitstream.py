@@ -1,6 +1,8 @@
+import gc
 import json
 import math
 import os
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -597,21 +599,41 @@ def stream_file(tmp_path_factory):
     return tmp_path_factory.mktemp("streams") / "stream.bin"
 
 
+PIPE_SIZE = 60 * 1024  # fits the default 64 KiB pipe buffer
+
+
+def pipe_path(data):
+    """A /dev/fd path of the read end of a pipe that holds `data`; the
+    caller closes the returned descriptor."""
+    read_end, write_end = os.pipe()
+    with open(write_end, "wb") as fh:
+        fh.write(data)
+    return f"/dev/fd/{read_end}", read_end
+
+
 def extract_both_ways(data, stream_file, *args):
-    """extract_features of `data` as bytes and from a file: the features,
-    or the StreamPcqError raised; both forms must agree."""
+    """extract_features of `data` as bytes, from a file and, where `data`
+    fits a pipe's buffer, from a pipe: the features, or the StreamPcqError
+    raised; every form must agree."""
     stream_file.write_bytes(data)
+    sources = [(data, None), (stream_file, None)]  # (source, descriptor to close)
+    if len(data) <= PIPE_SIZE and os.path.isdir("/dev/fd"):
+        sources.append(pipe_path(data))
     results = []
-    for source in (data, stream_file):
+    for source, fd in sources:
         try:
             results.append(bs.extract_features(source, *args))
         except StreamPcqError as exc:
             results.append(exc)
-    from_bytes, from_path = results
+        finally:
+            if fd is not None:
+                os.close(fd)
+    from_bytes, *others = results
     if isinstance(from_bytes, StreamPcqError):
-        assert type(from_path) is type(from_bytes) and str(from_path) == str(from_bytes)
+        for other in others:
+            assert type(other) is type(from_bytes) and str(other) == str(from_bytes)
         raise from_bytes
-    assert from_path == from_bytes
+    assert all(other == from_bytes for other in others)
     return from_bytes
 
 
@@ -654,9 +676,14 @@ def test_extraction_from_a_path_skips_payload_bodies(tmp_path):
     path = tmp_path / "big.bin"
     path.write_bytes(data)
     before = rchar()
+    probe = rchar() - before  # the probe's own read of /proc/self/io
+    before = rchar()
     got = bs.extract_features(path, SCHEMA)
-    read = rchar() - before
-    assert read < 64 * 1024, f"read {read} of {len(data)} bytes"
+    read = rchar() - before - probe
+    # six 5-byte TLV headers and the sequence (3 B), attribute (2 B) and two
+    # geometry-data (17 B each) header prefixes; a few bytes of slack for the
+    # probe, whose text grows with the count's digits
+    assert 69 <= read <= 69 + 8, f"read {read} of {len(data)} bytes"
     assert got == feats(0.5, 34, 8 * 9 * mib, 2 * 10**6)
     assert got == bs.extract_features(data, SCHEMA)
 
@@ -688,13 +715,65 @@ def test_longest_ue_decodes_the_same_from_a_path(stream_file):
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
 def test_extraction_reads_a_pipe_whole():
     data = bs.synthesize_bitstream(feats(0.5, 28, 8 * 300, 50), SCHEMA)
-    read_end, write_end = os.pipe()
-    with open(write_end, "wb") as fh:
-        fh.write(data)  # fits the pipe's buffer
+    path, fd = pipe_path(data)
     try:
-        assert bs.extract_features(f"/dev/fd/{read_end}", SCHEMA) == feats(0.5, 28, 8 * 300, 50)
+        assert bs.extract_features(path, SCHEMA) == feats(0.5, 28, 8 * 300, 50)
     finally:
-        os.close(read_end)
+        os.close(fd)
+
+
+def test_unreadable_paths_fail_as_open_does(tmp_path):
+    missing, empty = tmp_path / "missing.bin", tmp_path / "empty.bin"
+    empty.write_bytes(b"")
+    for path, error, says in [
+        (tmp_path, IsADirectoryError, f"[Errno 21] Is a directory: '{tmp_path}'"),
+        (missing, FileNotFoundError, f"[Errno 2] No such file or directory: '{missing}'"),
+        (empty, EmptyInput, "empty bitstream"),
+    ]:
+        with pytest.raises(error) as ei:
+            bs.extract_features(path, SCHEMA)
+        assert str(ei.value) == says
+
+
+# ---------------------------------------------------------------------------
+# The extraction plan: built once per schema and kept with it alone
+
+
+def test_one_schema_builds_its_plan_once(monkeypatch):
+    builds = []
+
+    def counted(schema):
+        builds.append(schema)
+        return plan(schema)
+
+    plan = bs._extraction_plan
+    monkeypatch.setattr(bs, "_extraction_plan", counted)
+    schema = bs.SyntaxSchema.from_dict(SCHEMA.to_dict())
+    for i in range(28):
+        f = feats(0.5, i, 8 * (i + 1), 100 + i)
+        assert bs.extract_features(bs.synthesize_bitstream(f, schema), schema) == f
+    assert builds == [schema] and builds[0] is schema
+
+
+def test_a_schema_is_not_kept_alive_by_its_plan():
+    schema = bs.SyntaxSchema.from_dict(SCHEMA.to_dict())
+    f = feats(0.5, 28, 800, 100)
+    assert bs.extract_features(bs.synthesize_bitstream(f, schema), schema) == f
+    ref = weakref.ref(schema)
+    del schema
+    gc.collect()
+    assert ref() is None
+
+
+def test_each_schema_has_its_own_plan():
+    d = SCHEMA.to_dict()
+    d["targets"]["qp"]["where"] = {"attr_label": 1}
+    reflectance = bs.SyntaxSchema.from_dict(d)
+    data = colour_and_reflectance_stream([(1, 10), (0, 34)])
+    for _ in range(2):
+        assert bs.extract_features(data, SCHEMA).qp == 34
+        assert bs.extract_features(data, reflectance).qp == 10
+    assert reflectance._plan is not SCHEMA._plan
 
 
 def test_read_tlv_units_keeps_every_body():

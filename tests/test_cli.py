@@ -122,6 +122,59 @@ def test_extract_bad_sidecar_fails_only_its_stream(tmp_path, capsys, meta, says)
     assert err.startswith(f"error: {bad}: ") and says in err and len(err.splitlines()) == 1
 
 
+def test_extract_unreadable_inputs_fail_only_their_stream(tmp_path, capsys):
+    good, missing, empty = tmp_path / "good.bin", tmp_path / "missing.bin", tmp_path / "empty.bin"
+    run(["synth", "--pqs", 1, "--qp", 22, "--texture-bits", 800,
+         "--points", 100, "--out", good])
+    empty.write_bytes(b"")
+    out = tmp_path / "o.csv"
+    assert run(["extract", tmp_path, missing, empty, good, "--out", out]) == 1
+    assert [r["stream"] for r in read_csv(out)] == [str(good)]
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path}: [Errno 21] Is a directory: '{tmp_path}'\n"
+        f"error: {missing}: [Errno 2] No such file or directory: '{missing}'\n"
+        f"error: {empty}: empty bitstream\n")
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_extract_reads_a_pipe_whole(tmp_path, capsys):
+    stream = tmp_path / "fix.bin"
+    run(["synth", "--pqs", 0.5, "--qp", 28, "--texture-bits", 2400,
+         "--points", 50, "--out", stream])
+    read_end, write_end = os.pipe()
+    with open(write_end, "wb") as fh:
+        fh.write(stream.read_bytes())  # fits the pipe's buffer
+    out = tmp_path / "o.csv"
+    try:
+        assert run(["extract", f"/dev/fd/{read_end}", "--out", out]) == 0
+    finally:
+        os.close(read_end)
+    assert read_csv(out) == [{"stream": f"/dev/fd/{read_end}", "pqs": "0.5", "qp": "28",
+                              "texture_bits": "2400", "point_count": "50", "tbpp": "48.0",
+                              "point_count_source": "slice-header"}]
+    assert capsys.readouterr().err == ""
+
+
+def test_extract_sidecar_is_probed_by_opening_it(tmp_path, capsys):
+    dangling, walled = tmp_path / "dangling.bin", tmp_path / "walled.bin"
+    for stream in (dangling, walled):
+        run(["synth", "--pqs", 1, "--qp", 22, "--texture-bits", 800,
+             "--points", 100, "--out", stream])
+    # a sidecar link to nothing is no sidecar; a directory in its place fails its stream
+    (tmp_path / "dangling.bin.meta.json").symlink_to(tmp_path / "nowhere.json")
+    (tmp_path / "walled.bin.meta.json").mkdir()
+    out = tmp_path / "o.csv"
+    assert run(["extract", dangling, walled, "--out", out]) == 1
+    row, = read_csv(out)
+    assert (row["stream"], row["point_count_source"]) == (str(dangling), "slice-header")
+    assert capsys.readouterr().err == (
+        f"error: {walled}: [Errno 21] Is a directory: '{walled}.meta.json'\n")
+    # a sidecar directory that is a file fails each stream, naming its sidecar
+    assert run(["extract", dangling, "--sidecar-dir", walled, "--out", out]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {dangling}: [Errno 20] Not a directory: '{walled}/dangling.bin.meta.json'\n")
+
+
 @pytest.mark.parametrize("via_env", [False, True])
 def test_malformed_schema_is_an_error_line(tmp_path, capsys, monkeypatch, via_env):
     stream, schema = tmp_path / "fix.bin", tmp_path / "schema.json"
