@@ -1,18 +1,16 @@
 """Partial G-PCC bitstream parser.
 
 TLV demultiplexing plus bit-level header decoding driven by a declarative
-syntax schema.  Extraction indexes the TLV units of a stream by reading
-their headers alone, then reads from each unit only the prefix its header
-fields can occupy; entropy-coded payload bodies are never read, which is
-what makes feature extraction cheap enough to run at any network node.
-A stream file is read with positional reads (`os.pread`, POSIX only), one
-per TLV header and one per header prefix, so no read fetches more bytes
-than those.
+syntax schema.  Extraction reads a stream forward once: each TLV header,
+and from each unit a target needs only its header prefix.  The rest of a
+body is skipped by offset, or read and dropped in 64 KiB chunks from a
+pipe, so memory does not grow with payload size, even at a network node.
 """
 
 from __future__ import annotations
 
 import functools
+import io
 import json
 import math
 import os
@@ -245,6 +243,9 @@ def default_schema() -> SyntaxSchema:
     )
 
 
+_DEFAULT_SCHEMA = default_schema()  # used when no schema is given, so its plan is built once
+
+
 # ---------------------------------------------------------------------------
 # Bit-level reader / writer (MSB first)
 
@@ -324,53 +325,58 @@ class BitWriter:
 # TLV framing
 
 
-def _unit_index(size: int, read_at, schema: SyntaxSchema) -> list:
-    """(unit_type, body_offset, body_length) of every TLV unit of a stream of
-    `size` bytes, in stream order; `read_at(offset, n)` returns the n bytes at
-    `offset`.  Reads each TLV header alone and skips its body."""
-    if not size:
-        raise EmptyInput("empty bitstream")
-    index = []
-    off = 0
-    hdr = schema.type_bytes + schema.length_bytes
-    while off < size:
-        if off + hdr > size:
-            raise TruncatedUnit(f"incomplete TLV header at byte {off}")
-        head = read_at(off, hdr)
-        utype = int.from_bytes(head[: schema.type_bytes], "big")
-        length = int.from_bytes(head[schema.type_bytes :], schema.length_endian)
-        off += hdr
-        if off + length > size:
-            raise TruncatedUnit(
-                f"unit type {utype} declares {length} bytes, only {size - off} remain"
-            )
-        index.append((utype, off, length))
-        off += length
-    return index
+_CHUNK = 1 << 16  # the most bytes one read takes, so a pipe's body is dropped in chunks
 
 
-def _slicer(data):
-    """read_at(offset, n) over the bytes `data`."""
-    return lambda off, n: data[off : off + n]
+def _chunks(fh, n: int):
+    """The next n bytes of `fh`, fewer where it ends, in reads of at most _CHUNK."""
+    while n > 0 and (chunk := fh.read(min(n, _CHUNK))):  # a pipe may give short reads
+        n -= len(chunk)
+        yield chunk
 
 
-def _with_source(data, use):
-    """use(size, read_at) over `data`: the stream's bytes, sliced, or the
-    file at path `data`, read with `os.pread`, or read whole and sliced when
-    it cannot seek (a pipe).  The file is closed when `use` returns."""
-    if isinstance(data, (bytes, bytearray)):
-        return use(len(data), _slicer(data))
-    with open(data, "rb", buffering=0) as fh:
-        if not fh.seekable():
-            whole = fh.read()
-            return use(len(whole), _slicer(whole))
-        fd = fh.fileno()
-        return use(fh.seek(0, os.SEEK_END), lambda off, n: os.pread(fd, n, off))
+def _scan(data, schema: SyntaxSchema, head_bytes: dict | None) -> list:
+    """(unit_type, body_length, head) of each TLV unit of `data` (bytes or a
+    path), in one forward pass.  head is the start of the body: as many bytes
+    as head_bytes gives its unit type (none if it has no entry), or all of it
+    when head_bytes is None.  A file is read at offsets, so a skipped body
+    costs no call; bytes skip by seeking, and a pipe by reading and dropping."""
+    units = []
+    bytes_given = isinstance(data, (bytes, bytearray))
+    with io.BytesIO(data) if bytes_given else open(data, "rb", buffering=0) as fh:
+        seekable = fh.seekable()
+        end = len(data) if bytes_given else fh.seek(0, os.SEEK_END) if seekable else math.inf
+        fd = fh.fileno() if seekable and not bytes_given else None
+        read = functools.partial(os.pread, fd) if fd is not None else (
+            lambda n, _: b"".join(_chunks(fh, n)))
+        hdr = schema.type_bytes + schema.length_bytes
+        off = 0  # where the next unit starts
+        while off < end and (head := read(hdr, off)):
+            if len(head) < hdr:
+                raise TruncatedUnit(f"incomplete TLV header at byte {off}")
+            utype = int.from_bytes(head[: schema.type_bytes], "big")
+            length = int.from_bytes(head[schema.type_bytes :], schema.length_endian)
+            want = length if head_bytes is None else head_bytes.get(utype, 0)
+            body = read(min(want, length, end - off - hdr), off + hdr) if want else b""
+            rest = length - len(body)
+            if bytes_given:
+                fh.seek(rest, os.SEEK_CUR)
+            elif not seekable:
+                rest -= sum(map(len, _chunks(fh, rest)))
+            off += hdr + length
+            units.append((utype, length, body))
+        if not off:
+            raise EmptyInput("empty bitstream")
+        # only the last unit can end past the end of the stream
+        have = length - (off - end if seekable else rest)
+    if have < length:
+        raise TruncatedUnit(f"unit type {utype} declares {length} bytes, only {have} remain")
+    return units
 
 
-def read_tlv_units(data: bytes, schema: SyntaxSchema) -> list:
-    index = _unit_index(len(data), _slicer(data), schema)
-    return [TlvUnit(utype, data[off : off + length]) for utype, off, length in index]
+def read_tlv_units(data, schema: SyntaxSchema) -> list:
+    """Every TLV unit of `data`, the stream's bytes or a path, bodies whole."""
+    return [TlvUnit(utype, body) for utype, _, body in _scan(data, schema, None)]
 
 
 def write_tlv_units(units, schema: SyntaxSchema) -> bytes:
@@ -500,9 +506,10 @@ def extract_features(
     when given, collects (unit_class, bits_consumed, payload_bits) per parsed
     unit.
     """
-    schema = schema or default_schema()
+    schema = schema or _DEFAULT_SCHEMA
     sidecar = sidecar or {}
-    class_of, reads = schema._plan
+    code_of, heads, reads = schema._plan
+    units = _scan(data, schema, heads)
 
     def resolve(name, in_stream, whole, decoded=None):
         """(value, source): the stream's value unless None, else the sidecar's
@@ -516,57 +523,48 @@ def extract_features(
             return int(decoded), "decoded-cloud"
         raise MissingField(name)
 
-    def features_of(size, read_at):
-        units_of: dict = {}  # unit class -> [(body_offset, body_length)]
-        for utype, off, length in _unit_index(size, read_at, schema):
-            cls = class_of.get(utype)
-            if cls is not None:
-                units_of.setdefault(cls, []).append((off, length))
+    def header_values(feature: str):
+        """The target field of `feature` from each matching unit of its class, in stream order."""
+        code, unit_class, path, name, where = reads.get(feature, (None,) * 5)  # code None: no unit
+        for head, length in ((h, n) for utype, n, h in units if utype == code):
+            reader = BitReader(head)
+            fields = parse_header(head, path, reader=reader)
+            if trace is not None:
+                trace.append((unit_class, reader.bits_consumed, 8 * length))
+            if all(fields.get(k) == v for k, v in where):
+                yield fields[name]
 
-        def header_values(feature: str):
-            """The target field of `feature` from each matching unit of its class, in stream order."""
-            if feature not in reads:
-                return
-            unit_class, path, name, where, prefix = reads[feature]
-            for off, length in units_of.get(unit_class, ()):
-                head = read_at(off, min(length, prefix))
-                reader = BitReader(head)
-                fields = parse_header(head, path, reader=reader)
-                if trace is not None:
-                    trace.append((unit_class, reader.bits_consumed, 8 * length))
-                if all(fields.get(k) == v for k, v in where):
-                    yield fields[name]
-
-        raw = next(header_values("pqs"), None)
-        pqs, _ = resolve("pqs", None if raw is None else float(
-            Fraction(raw, schema.targets["pqs"].divisor)), whole=False)
-        qp, _ = resolve("qp", next(header_values("qp"), None), whole=True)
-        attr_bits = [8 * length for _, length in units_of.get("attribute_data", ())]
-        texture_bits, _ = resolve("texture_bits", sum(attr_bits) if attr_bits else None,
-                                  whole=True)
-        slices = list(header_values("point_count"))  # one count per slice
-        pc, source = resolve("point_count", sum(slices) if slices else None, whole=True,
-                             decoded=decoded_point_count)
-        return BitstreamFeatures.from_counts(pqs, qp, texture_bits, pc, source)
-
-    features = _with_source(data, features_of)
+    raw = next(header_values("pqs"), None)
+    pqs, _ = resolve("pqs", None if raw is None else float(
+        Fraction(raw, schema.targets["pqs"].divisor)), whole=False)
+    qp, _ = resolve("qp", next(header_values("qp"), None), whole=True)
+    attr_bits = [8 * n for utype, n, _ in units if utype == code_of.get("attribute_data")]
+    texture_bits, _ = resolve("texture_bits", sum(attr_bits) if attr_bits else None, whole=True)
+    slices = list(header_values("point_count"))  # one count per slice
+    pc, source = resolve("point_count", sum(slices) if slices else None, whole=True,
+                         decoded=decoded_point_count)
+    features = BitstreamFeatures.from_counts(pqs, qp, texture_bits, pc, source)
     features.validate()
     return features
 
 
 def _extraction_plan(schema: SyntaxSchema) -> tuple:
-    """(class_of, reads): what extraction needs of `schema` alone.  class_of
-    maps unit codes to class names; reads maps each of pqs, qp and
-    point_count whose unit class has a field path naming its field to
-    (unit class, path, field, `where` items, bytes the path can consume)."""
+    """(code_of, heads, reads): what extraction needs of `schema` alone.
+    code_of maps each class name to its unit code, unless a later class has
+    the same code; reads maps each of pqs, qp and point_count whose class has
+    a field path naming its field to (code, class, path, field, `where`
+    items); heads maps each code in reads to the bytes its path can consume."""
+    class_of = {c: name for name, c in schema.unit_codes.items()}  # the last class of a code
+    code_of = {name: c for c, name in class_of.items()}
     reads = {}
     for feature in ("pqs", "qp", "point_count"):
         t = schema.targets.get(feature)
         path = schema.field_paths.get(t.unit_class) if t is not None else None
         if path and t.field in {f.name for f in path}:
-            reads[feature] = (t.unit_class, tuple(path), t.field, tuple(t.where.items()),
-                              (sum(f.max_bits for f in path) + 7) // 8)
-    return {c: name for name, c in schema.unit_codes.items()}, reads
+            reads[feature] = (code_of.get(t.unit_class), t.unit_class, tuple(path), t.field,
+                              tuple(t.where.items()))
+    heads = {r[0]: (sum(f.max_bits for f in r[2]) + 7) // 8 for r in reads.values()}
+    return code_of, heads, reads
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +585,7 @@ def synthesize_bitstream(
     extract_features exactly for any valid feature tuple whose texture_bits
     is a whole number of bytes.
     """
-    schema = schema or default_schema()
+    schema = schema or _DEFAULT_SCHEMA
     missing = ["target 'pqs'"] if "pqs" not in schema.targets else []
     missing += [f"unit code {c!r}" for c in _SYNTHESIZED_UNITS if c not in schema.unit_codes]
     if missing:

@@ -1,7 +1,11 @@
+import contextlib
 import gc
+import itertools
 import json
 import math
 import os
+import threading
+import tracemalloc
 import weakref
 
 import pytest
@@ -599,35 +603,47 @@ def stream_file(tmp_path_factory):
     return tmp_path_factory.mktemp("streams") / "stream.bin"
 
 
-PIPE_SIZE = 60 * 1024  # fits the default 64 KiB pipe buffer
+PIPES = os.path.isdir("/dev/fd")  # a pipe's read end can be opened by path
 
 
-def pipe_path(data):
-    """A /dev/fd path of the read end of a pipe that holds `data`; the
-    caller closes the returned descriptor."""
+@contextlib.contextmanager
+def piped(data, sizes=(1 << 20,)):
+    """The /dev/fd path of the read end of a pipe that a writer thread fills
+    with `data`, in writes of the sizes `sizes` cycles through.  The writer
+    ends at a closed read end; both ends are closed on exit."""
     read_end, write_end = os.pipe()
-    with open(write_end, "wb") as fh:
-        fh.write(data)
-    return f"/dev/fd/{read_end}", read_end
+
+    def write():
+        try:
+            view, size = memoryview(data), itertools.cycle(sizes)
+            while view:
+                view = view[os.write(write_end, view[: next(size)]) :]
+        except BrokenPipeError:  # the reader stopped before the end
+            pass
+        finally:
+            os.close(write_end)
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        yield f"/dev/fd/{read_end}"
+    finally:
+        os.close(read_end)
+        writer.join(timeout=60)
+        assert not writer.is_alive()
 
 
 def extract_both_ways(data, stream_file, *args):
-    """extract_features of `data` as bytes, from a file and, where `data`
-    fits a pipe's buffer, from a pipe: the features, or the StreamPcqError
-    raised; every form must agree."""
+    """extract_features of `data` as bytes, from a file and from a pipe: the
+    features, or the StreamPcqError raised; every form must agree."""
     stream_file.write_bytes(data)
-    sources = [(data, None), (stream_file, None)]  # (source, descriptor to close)
-    if len(data) <= PIPE_SIZE and os.path.isdir("/dev/fd"):
-        sources.append(pipe_path(data))
     results = []
-    for source, fd in sources:
-        try:
-            results.append(bs.extract_features(source, *args))
-        except StreamPcqError as exc:
-            results.append(exc)
-        finally:
-            if fd is not None:
-                os.close(fd)
+    with piped(data) if PIPES else contextlib.nullcontext() as pipe:
+        for source in (data, stream_file, pipe)[: 3 if PIPES else 2]:
+            try:
+                results.append(bs.extract_features(source, *args))
+            except StreamPcqError as exc:
+                results.append(exc)
     from_bytes, *others = results
     if isinstance(from_bytes, StreamPcqError):
         for other in others:
@@ -712,14 +728,45 @@ def test_longest_ue_decodes_the_same_from_a_path(stream_file):
         extract_both_ways(bs.write_tlv_units(units, SCHEMA), stream_file, SCHEMA)
 
 
-@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
-def test_extraction_reads_a_pipe_whole():
+@pytest.mark.skipif(not PIPES, reason="needs /dev/fd")
+def test_extraction_reads_a_stream_from_a_pipe():
     data = bs.synthesize_bitstream(feats(0.5, 28, 8 * 300, 50), SCHEMA)
-    path, fd = pipe_path(data)
-    try:
+    with piped(data) as path:
         assert bs.extract_features(path, SCHEMA) == feats(0.5, 28, 8 * 300, 50)
-    finally:
-        os.close(fd)
+
+
+@pytest.mark.skipif(not PIPES, reason="needs /dev/fd")
+def test_a_large_piped_stream_is_read_in_bounded_memory():
+    code = SCHEMA.code_for
+    mib = 1 << 20
+    data = bs.write_tlv_units([
+        bs.TlvUnit(code("sequence_params"), header("sequence_params", geom_scale_num=2)),
+        bs.TlvUnit(code("attribute_params"), header("attribute_params", attr_initial_qp=40)),
+        bs.TlvUnit(code("geometry_data"), header("geometry_data", slice_point_count=7000)
+                   + bytes(mib)),
+        bs.TlvUnit(code("attribute_data"), bytes(2 * mib)),
+        bs.TlvUnit(code("geometry_data"), header("geometry_data", slice_id=1,
+                                                 slice_point_count=5000) + bytes(mib)),
+        bs.TlvUnit(code("attribute_data"), bytes(2 * mib + 3)),
+    ], SCHEMA)
+    uneven = (1, 4093, 65537, 300001, 7)  # write sizes, across the 64 KiB pipe buffer
+    with piped(data, uneven) as path:
+        tracemalloc.start()
+        try:
+            got = bs.extract_features(path, SCHEMA)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert got == bs.extract_features(data, SCHEMA) == feats(0.25, 40, 8 * (4 * mib + 3), 12000)
+    assert peak < mib, f"peak {peak} bytes to extract a {len(data)}-byte stream"
+    # cut inside the last body: the same error as the bytes form, counting what the pipe gave
+    cut = data[:-12345]
+    with pytest.raises(TruncatedUnit) as from_bytes:
+        bs.extract_features(cut, SCHEMA)
+    with piped(cut, uneven) as path, pytest.raises(TruncatedUnit) as from_pipe:
+        bs.extract_features(path, SCHEMA)
+    assert str(from_pipe.value) == str(from_bytes.value) == (
+        f"unit type 5 declares {2 * mib + 3} bytes, only {2 * mib + 3 - 12345} remain")
 
 
 def test_unreadable_paths_fail_as_open_does(tmp_path):
@@ -755,6 +802,24 @@ def test_one_schema_builds_its_plan_once(monkeypatch):
     assert builds == [schema] and builds[0] is schema
 
 
+def test_schema_less_calls_build_the_default_plan_once(monkeypatch):
+    builds = []
+
+    def counted(schema):
+        builds.append(schema)
+        return plan(schema)
+
+    plan = bs._extraction_plan
+    monkeypatch.setattr(bs, "_extraction_plan", counted)
+    f = feats(0.5, 28, 800, 100)
+    data = bs.synthesize_bitstream(f)
+    for _ in range(100):
+        assert bs.extract_features(data) == f
+    assert len(builds) <= 1  # none when an earlier call already built it
+    assert bs.default_schema() is not bs.default_schema()
+    assert bs.default_schema() == SCHEMA
+
+
 def test_a_schema_is_not_kept_alive_by_its_plan():
     schema = bs.SyntaxSchema.from_dict(SCHEMA.to_dict())
     f = feats(0.5, 28, 800, 100)
@@ -776,12 +841,17 @@ def test_each_schema_has_its_own_plan():
     assert reflectance._plan is not SCHEMA._plan
 
 
-def test_read_tlv_units_keeps_every_body():
+def test_read_tlv_units_keeps_every_body(stream_file):
     data = bs.synthesize_bitstream(feats(0.5, 28, 8 * 300, 50), SCHEMA)
     units = bs.read_tlv_units(data, SCHEMA)
     assert [u.unit_type for u in units] == [1, 2, 3, 4, 5, 5]
     assert [len(u.payload) for u in units][-2:] == [150, 150]
     assert bs.write_tlv_units(units, SCHEMA) == data
+    stream_file.write_bytes(data)
+    assert bs.read_tlv_units(stream_file, SCHEMA) == units
+    if PIPES:
+        with piped(data, (7, 100)) as path:
+            assert bs.read_tlv_units(path, SCHEMA) == units
 
 
 # ---------------------------------------------------------------------------

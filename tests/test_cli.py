@@ -137,7 +137,7 @@ def test_extract_unreadable_inputs_fail_only_their_stream(tmp_path, capsys):
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
-def test_extract_reads_a_pipe_whole(tmp_path, capsys):
+def test_extract_reads_a_stream_from_a_pipe(tmp_path, capsys):
     stream = tmp_path / "fix.bin"
     run(["synth", "--pqs", 0.5, "--qp", 28, "--texture-bits", 2400,
          "--points", 50, "--out", stream])
@@ -153,6 +153,20 @@ def test_extract_reads_a_pipe_whole(tmp_path, capsys):
                               "texture_bits": "2400", "point_count": "50", "tbpp": "48.0",
                               "point_count_source": "slice-header"}]
     assert capsys.readouterr().err == ""
+    # a multi-MiB stream on the stdin of a process of its own gives the path form's row
+    big = tmp_path / "big.bin"
+    run(["synth", "--pqs", 0.25, "--qp", 40, "--texture-bits", 8 * 6 * 2**20,
+         "--points", 123456, "--out", big])
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parent.parent)}
+    rows = []
+    for stream, data in ((big, None), ("/dev/stdin", big.read_bytes())):
+        done = subprocess.run([sys.executable, "-m", "streampcq.cli", "extract", stream],
+                              input=data, env=env, capture_output=True)
+        assert (done.returncode, done.stderr) == (0, b"")
+        _, row = done.stdout.decode().splitlines()
+        rows.append(row.removeprefix(f"{stream},"))
+    bits = 8 * 6 * 2**20
+    assert rows[0] == rows[1] == f"0.25,40,{bits},123456,{bits / 123456!r},slice-header"
 
 
 def test_extract_sidecar_is_probed_by_opening_it(tmp_path, capsys):
