@@ -4,7 +4,8 @@ TLV demultiplexing plus bit-level header decoding driven by a declarative
 syntax schema.  Extraction reads a stream forward once: each TLV header,
 and from each unit a target needs only its header prefix.  The rest of a
 body is skipped by offset, or read and dropped in 64 KiB chunks from a
-pipe, so memory does not grow with payload size, even at a network node.
+pipe, so memory does not grow with payload size, even at a network node;
+nor with units that no target reads, which leave only a running length sum.
 """
 
 from __future__ import annotations
@@ -335,13 +336,16 @@ def _chunks(fh, n: int):
         yield chunk
 
 
-def _scan(data, schema: SyntaxSchema, head_bytes: dict | None) -> list:
-    """(unit_type, body_length, head) of each TLV unit of `data` (bytes or a
-    path), in one forward pass.  head is the start of the body: as many bytes
-    as head_bytes gives its unit type (none if it has no entry), or all of it
-    when head_bytes is None.  A file is read at offsets, so a skipped body
-    costs no call; bytes skip by seeking, and a pipe by reading and dropping."""
-    units = []
+def _scan(data, schema: SyntaxSchema, head_bytes: dict | None, sum_type=None) -> tuple:
+    """(units, summed) of the TLV units of `data` (bytes or a path), in one
+    forward pass.  units holds (unit_type, body_length, head) of each unit
+    whose type head_bytes names, head being as many bytes of its body as
+    head_bytes gives; when head_bytes is None it holds every unit, head
+    being its whole body.  summed is the total body length of the units of
+    type `sum_type`, None if there are none.  A file is read at offsets, so
+    a skipped body costs no call; bytes skip by seeking, and a pipe by
+    reading and dropping."""
+    units, summed = [], None
     bytes_given = isinstance(data, (bytes, bytearray))
     with io.BytesIO(data) if bytes_given else open(data, "rb", buffering=0) as fh:
         seekable = fh.seekable()
@@ -364,19 +368,22 @@ def _scan(data, schema: SyntaxSchema, head_bytes: dict | None) -> list:
             elif not seekable:
                 rest -= sum(map(len, _chunks(fh, rest)))
             off += hdr + length
-            units.append((utype, length, body))
+            if head_bytes is None or utype in head_bytes:
+                units.append((utype, length, body))
+            if utype == sum_type:
+                summed = length + (summed or 0)
         if not off:
             raise EmptyInput("empty bitstream")
         # only the last unit can end past the end of the stream
         have = length - (off - end if seekable else rest)
     if have < length:
         raise TruncatedUnit(f"unit type {utype} declares {length} bytes, only {have} remain")
-    return units
+    return units, summed
 
 
 def read_tlv_units(data, schema: SyntaxSchema) -> list:
     """Every TLV unit of `data`, the stream's bytes or a path, bodies whole."""
-    return [TlvUnit(utype, body) for utype, _, body in _scan(data, schema, None)]
+    return [TlvUnit(utype, body) for utype, _, body in _scan(data, schema, None)[0]]
 
 
 def write_tlv_units(units, schema: SyntaxSchema) -> bytes:
@@ -509,7 +516,7 @@ def extract_features(
     schema = schema or _DEFAULT_SCHEMA
     sidecar = sidecar or {}
     code_of, heads, reads = schema._plan
-    units = _scan(data, schema, heads)
+    units, attr_bytes = _scan(data, schema, heads, code_of.get("attribute_data"))
 
     def resolve(name, in_stream, whole, decoded=None):
         """(value, source): the stream's value unless None, else the sidecar's
@@ -538,8 +545,8 @@ def extract_features(
     pqs, _ = resolve("pqs", None if raw is None else float(
         Fraction(raw, schema.targets["pqs"].divisor)), whole=False)
     qp, _ = resolve("qp", next(header_values("qp"), None), whole=True)
-    attr_bits = [8 * n for utype, n, _ in units if utype == code_of.get("attribute_data")]
-    texture_bits, _ = resolve("texture_bits", sum(attr_bits) if attr_bits else None, whole=True)
+    texture_bits, _ = resolve("texture_bits", None if attr_bytes is None else 8 * attr_bytes,
+                              whole=True)
     slices = list(header_values("point_count"))  # one count per slice
     pc, source = resolve("point_count", sum(slices) if slices else None, whole=True,
                          decoded=decoded_point_count)

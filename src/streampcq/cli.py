@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
-import numpy as np
+from ._lazy import np
 
 from . import bitstream as bs
 from . import calibration as cal

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
+from ._lazy import np
 
 from .errors import DegenerateDesign, InvalidInput, StreamPcqError, ZeroVariance
 from .calibration import TRAINING_VARIANT, record_columns, train_full

@@ -19,7 +19,7 @@ import numbers
 import sys
 from dataclasses import dataclass, asdict, fields
 
-import numpy as np
+from ._lazy import np
 
 from .errors import InvalidFeature, InvalidParams, NonPositivePqs
 

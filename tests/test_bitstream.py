@@ -769,6 +769,27 @@ def test_a_large_piped_stream_is_read_in_bounded_memory():
         f"unit type 5 declares {2 * mib + 3} bytes, only {2 * mib + 3 - 12345} remain")
 
 
+def test_units_no_target_reads_are_not_kept(tmp_path):
+    # 1 MB of empty 5-byte units of the two classes that no target reads
+    code = SCHEMA.code_for
+    f = feats(0.5, 28, 8 * 300, 50)
+    empty = [bs.TlvUnit(code(c), b"") for c in ("geometry_params", "attribute_data")]
+    synth = bs.synthesize_bitstream(f, SCHEMA)
+    data = synth + bs.write_tlv_units(empty * 100_000, SCHEMA)
+    path = tmp_path / "many-units.bin"
+    path.write_bytes(data)
+    for source in (data, path):
+        tracemalloc.start()
+        try:
+            got = bs.extract_features(source, SCHEMA)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == f
+        assert peak < 64 * 1024, f"peak {peak} bytes to extract {len(data) // 5} units"
+    assert len(bs.read_tlv_units(data, SCHEMA)) == len(bs.read_tlv_units(synth, SCHEMA)) + 200_000
+
+
 def test_unreadable_paths_fail_as_open_does(tmp_path):
     missing, empty = tmp_path / "missing.bin", tmp_path / "empty.bin"
     empty.write_bytes(b"")

@@ -1,5 +1,7 @@
-"""Every import and every module-level private name in the package is used,
-and importing the CLI leaves scipy unloaded."""
+"""Every import and every module-level private name in the package is used.
+Importing the CLI leaves scipy unloaded and numpy unexecuted: only `_lazy`
+imports numpy, and it runs at its first use, which `extract` and `synth`
+never reach."""
 
 import ast
 import os
@@ -55,12 +57,24 @@ def test_no_unread_private_names():
     assert [u for p in modules for u in unread_private_names(p)] == []
 
 
+# numpy's __init__ always imports numpy.linalg, so its presence in sys.modules
+# tells whether numpy has executed; "numpy" itself is there from the start, as
+# the lazy module.
+EXECUTED = "'numpy.linalg' in sys.modules"
+
+
+def fresh(code: str, *args) -> list:
+    """The stdout lines of `code`, run with `args` in a new interpreter that
+    imports the package from the source tree."""
+    out = subprocess.run([sys.executable, "-c", code, *map(str, args)], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+                         check=True)
+    return out.stdout.splitlines()
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # scipy is imported inside f_quantile, which only `significance` reaches
-    probe = "import sys, streampcq.cli; print('scipy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}, check=True)
-    assert out.stdout.strip() == "False"
+    assert fresh("import sys, streampcq.cli; print('scipy' in sys.modules)") == ["False"]
 
 
 def test_only_the_table_module_imports_csv():
@@ -69,3 +83,79 @@ def test_only_the_table_module_imports_csv():
                         or isinstance(n, ast.ImportFrom) and n.module == "csv"
                         for n in ast.walk(ast.parse(p.read_text())))]
     assert importers == ["table.py"]
+
+
+def names_numpy(node) -> bool:
+    """Whether `node` imports numpy, by a statement or by naming it as a string."""
+    return (isinstance(node, ast.Import) and any(a.name.split(".")[0] == "numpy" for a in node.names)
+            or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy"
+            or isinstance(node, ast.Constant) and node.value == "numpy")
+
+
+def test_only_the_lazy_module_imports_numpy():
+    importers = [p.name for p in sorted(PACKAGE.glob("*.py"))
+                 if any(names_numpy(n) for n in ast.walk(ast.parse(p.read_text())))]
+    assert importers == ["_lazy.py"]
+
+
+def test_extract_and_synth_leave_numpy_unexecuted(tmp_path):
+    from streampcq import cli
+
+    stream, out = tmp_path / "s.bin", tmp_path / "features.csv"
+    probe = f"""
+import contextlib, io, sys
+from streampcq import cli
+print("import", {EXECUTED})
+stream, out = sys.argv[1:]
+cli.main(["synth", "--pqs", "0.5", "--qp", "34", "--texture-bits", "2400",
+          "--points", "50", "--out", stream])
+print("synth", {EXECUTED})
+cli.main(["extract", stream, "--out", out])
+print("extract", {EXECUTED})
+for argv in (["--help"], ["extract"]):  # help, and an argument error
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        with contextlib.suppress(SystemExit):
+            cli.main(argv)
+    print(argv[0], {EXECUTED})
+"""
+    assert fresh(probe, stream, out) == [
+        "import False", "synth False", "extract False", "--help False", "extract False"]
+    again = tmp_path / "again.csv"
+    assert cli.main(["extract", str(stream), "--out", str(again)]) == 0
+    assert again.read_bytes() == out.read_bytes()
+
+
+def test_a_fresh_score_loads_numpy_on_first_use(tmp_path):
+    from streampcq import cli
+
+    stream, features = tmp_path / "s.bin", tmp_path / "features.csv"
+    assert cli.main(["synth", "--pqs", "0.25", "--qp", "40", "--texture-bits", "9000",
+                     "--points", "1200", "--out", str(stream)]) == 0
+    assert cli.main(["extract", str(stream), "--out", str(features)]) == 0
+    fresh_out, here = tmp_path / "fresh.csv", tmp_path / "here.csv"
+    probe = f"""
+import sys
+from streampcq import cli
+print(cli.main(["score", sys.argv[1], "--out", sys.argv[2]]), {EXECUTED})
+"""
+    assert fresh(probe, features, fresh_out) == ["0 True"]
+    assert cli.main(["score", str(features), "--out", str(here)]) == 0
+    assert fresh_out.read_bytes() == here.read_bytes()
+
+
+def test_the_package_shares_numpy_whichever_is_imported_first():
+    before = """
+import numpy
+import streampcq.cli
+from streampcq import _lazy, model
+print(type(numpy).__name__, _lazy.np is numpy, model.np is numpy)
+"""
+    assert fresh(before) == ["module True True"]
+    after = f"""
+import sys
+import streampcq.cli
+import numpy
+from streampcq import model
+print(numpy.arange(4).sum(), {EXECUTED}, model.np is numpy)
+"""
+    assert fresh(after) == ["6 True True"]
