@@ -101,13 +101,6 @@ def fit_quadratic(xs, ys):
     return float(coef[0]), float(coef[1]), float(coef[2])
 
 
-def _rss_line(xs, ys, slope, intercept):
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    r = ys - (slope * xs + intercept)
-    return float(r @ r)
-
-
 def record_columns(records):
     """The fields of any iterable of records as the columns (`.content`, `.pqs`,
     ...) of one record array, sorted by (content, pqs, qp, tbpp, mos) so that no
@@ -123,9 +116,10 @@ def record_columns(records):
 
 def _fit_groups(stage, keys, x, y, diagnostics):
     """fit_line within each group of equal `keys` (a list of columns), all at
-    once from per-group sums; returns {key tuple: (slope, intercept)} in key
-    order.  Groups fit_line would refuse go to `diagnostics` with its reason;
-    so do the stage's RSS and sample count over the fitted groups."""
+    once from per-group sums; returns the first row index, slope and intercept
+    of each fitted group, as arrays in key order.  Groups fit_line would refuse
+    go to `diagnostics` with its reason; so do the stage's RSS and sample count
+    over the fitted groups."""
     # every group id in 0..len(uniq)-1 occurs in g, so each bincount has one sum per group
     uniq, first, g = np.unique(np.rec.fromarrays(keys), return_index=True, return_inverse=True)
     n = np.bincount(g)
@@ -140,11 +134,21 @@ def _fit_groups(stage, keys, x, y, diagnostics):
         r = y - (slope[g] * x + intercept[g])
     diagnostics.stage_rss[stage] = float(np.bincount(g, r * r)[fitted].sum())
     diagnostics.stage_samples[stage] = int(n[fitted].sum())
-    keys, fits = uniq.tolist(), list(zip(slope.tolist(), intercept.tolist()))
-    diagnostics.skipped_groups += [
-        (stage, keys[i], "need at least two points" if n[i] < 2 else "all x values identical")
-        for i in np.flatnonzero(~fitted)]
-    return {keys[i]: fits[i] for i in np.flatnonzero(fitted)}
+    reasons = np.where(n < 2, "need at least two points", "all x values identical")[~fitted]
+    diagnostics.skipped_groups += zip([stage] * len(reasons), uniq[~fitted].tolist(),
+                                      reasons.tolist())
+    return first[fitted], slope[fitted], intercept[fitted]
+
+
+def _fit_pooled(stage, xs, ys, diagnostics):
+    """fit_line over all of xs -> ys; its RSS, sample count and coefficients go
+    to `diagnostics`."""
+    slope, intercept = fit_line(xs, ys)
+    r = ys - (slope * xs + intercept)
+    diagnostics.stage_rss[stage] = float(r @ r)
+    diagnostics.stage_samples[stage] = len(xs)
+    diagnostics.coefficients[stage] = (slope, intercept)
+    return slope, intercept
 
 
 # ---------------------------------------------------------------------------
@@ -154,15 +158,17 @@ def _fit_groups(stage, keys, x, y, diagnostics):
 def stage_a_mos_vs_tqs(records, diagnostics: FitDiagnostics | None = None):
     """Per (content, pqs) group, fit mos = alpha*tqs + beta.
 
-    Returns {(content, pqs): (alpha_obs, beta_obs)}; degenerate groups are
-    skipped and reported in diagnostics.
+    Returns one record array of the fitted groups in (content, pqs) order,
+    with the columns `.content`, `.pqs`, `.alpha` and `.beta`; degenerate
+    groups are skipped and reported in diagnostics.
     """
     cols = record_columns(records)
-    out = _fit_groups("A", [cols.content, cols.pqs], tqs_from_qp(cols.qp), cols.mos,
-                      diagnostics or FitDiagnostics())
-    if not out:
+    first, alpha, beta = _fit_groups("A", [cols.content, cols.pqs], tqs_from_qp(cols.qp),
+                                     cols.mos, diagnostics or FitDiagnostics())
+    if not len(first):
         raise DegenerateDesign("no (content, pqs) group could be fitted")
-    return out
+    return np.rec.fromarrays([cols.content[first], cols.pqs[first], alpha, beta],
+                             names=("content", "pqs", "alpha", "beta"))
 
 
 def stage_b_tc_model(records, diagnostics: FitDiagnostics | None = None):
@@ -170,45 +176,31 @@ def stage_b_tc_model(records, diagnostics: FitDiagnostics | None = None):
     diagnostics = diagnostics or FitDiagnostics()
     # (H_obs, J_obs) per (pqs, qp) cell, pooled across pqs below
     cols = record_columns(records)
-    cells = _fit_groups("B", [cols.pqs, cols.qp], cols.tbpp, cols.tc, diagnostics)
-    qps = [qp for _pqs, qp in cells]
-    if len(set(qps)) < 3:
+    first, h, j = _fit_groups("B", [cols.pqs, cols.qp], cols.tbpp, cols.tc, diagnostics)
+    qps = cols.qp[first]
+    if len(np.unique(qps)) < 3:
         raise DegenerateDesign("need cells at three or more distinct qp values")
-    a1, a2, a3 = fit_quadratic(qps, [h for h, _j in cells.values()])
-    b1, b2 = fit_line(qps, [j for _h, j in cells.values()])
+    a1, a2, a3 = fit_quadratic(qps, h)
+    b1, b2 = fit_line(qps, j)
     diagnostics.coefficients["B"] = (a1, a2, a3, b1, b2)
     return a1, a2, a3, b1, b2
 
 
-def stage_c_alpha_tc(alpha_by_group, tc_by_content, diagnostics: FitDiagnostics | None = None):
-    """Fit alpha_obs = c*tc + d, pooled over every pqs level."""
-    diagnostics = diagnostics or FitDiagnostics()
-    groups = [k for k in sorted(alpha_by_group) if k[0] in tc_by_content]
-    xs = [tc_by_content[content] for content, _pqs in groups]
-    ys = [alpha_by_group[k][0] for k in groups]
-    c, d = fit_line(xs, ys)
-    diagnostics.stage_rss["C"] = _rss_line(xs, ys, c, d)
-    diagnostics.stage_samples["C"] = len(xs)
-    diagnostics.coefficients["C"] = (c, d)
-    return c, d
+def stage_c_alpha_tc(tc, alpha, diagnostics: FitDiagnostics | None = None):
+    """Fit alpha_obs = c*tc + d, pooled over every pqs level; `tc` and `alpha`
+    are arrays of one value per stage-A group."""
+    return _fit_pooled("C", tc, alpha, diagnostics or FitDiagnostics())
 
 
-def stage_d_beta_pqs(alpha_by_group, diagnostics: FitDiagnostics | None = None):
-    """Average stage-A intercepts per pqs level, then fit on 1/pqs."""
-    diagnostics = diagnostics or FitDiagnostics()
-    by_pqs: dict = {}
-    for (_content, pqs), (_alpha, beta_obs) in sorted(alpha_by_group.items()):
-        by_pqs.setdefault(pqs, []).append(beta_obs)
-    if len(by_pqs) < 2:
+def stage_d_beta_pqs(pqs, beta, diagnostics: FitDiagnostics | None = None):
+    """Average the stage-A intercepts `beta` per `pqs` level, then fit on 1/pqs;
+    `pqs` and `beta` are arrays of one value per stage-A group."""
+    levels = np.unique(pqs)
+    if len(levels) < 2:
         raise DegenerateDesign("need two or more distinct pqs levels")
-    levels = sorted(by_pqs)
-    xs = [1.0 / p for p in levels]
-    ys = [math.fsum(by_pqs[p]) / len(by_pqs[p]) for p in levels]
-    f1, f2 = fit_line(xs, ys)
-    diagnostics.stage_rss["D"] = _rss_line(xs, ys, f1, f2)
-    diagnostics.stage_samples["D"] = len(xs)
-    diagnostics.coefficients["D"] = (f1, f2)
-    return f1, f2
+    # exact means: a bincount mean would move the coefficients in the last bit
+    means = [math.fsum(b) / len(b) for b in (beta[pqs == p] for p in levels)]
+    return _fit_pooled("D", 1.0 / levels, np.array(means), diagnostics or FitDiagnostics())
 
 
 def train_full(records, variant: str = TRAINING_VARIANT):
@@ -217,12 +209,12 @@ def train_full(records, variant: str = TRAINING_VARIANT):
     if len(np.unique(cols.pqs)) < 2 or len(np.unique(cols.qp)) < 2:
         raise DegenerateDesign("training data must span two pqs and two qp levels")
     diag = FitDiagnostics()
-    alpha_by_group = stage_a_mos_vs_tqs(cols, diag)
+    groups = stage_a_mos_vs_tqs(cols, diag)
     a1, a2, a3, b1, b2 = stage_b_tc_model(cols, diag)
-    contents, first = np.unique(cols.content, return_index=True)
-    tc_by_content = dict(zip(contents.tolist(), cols.tc[first].tolist()))
-    c, d = stage_c_alpha_tc(alpha_by_group, tc_by_content, diag)
-    f1, f2 = stage_d_beta_pqs(alpha_by_group, diag)
+    # each content's tc is that of its first row: the columns are sorted by content
+    c, d = stage_c_alpha_tc(cols.tc[np.searchsorted(cols.content, groups.content)],
+                            groups.alpha, diag)
+    f1, f2 = stage_d_beta_pqs(groups.pqs, groups.beta, diag)
     params = ModelParams(a1=a1, a2=a2, a3=a3, b1=b1, b2=b2,
                          c=c, d=d, f1=f1, f2=f2, variant=variant)
     return params, diag

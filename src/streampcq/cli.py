@@ -26,7 +26,7 @@ from . import bitstream as bs
 from . import calibration as cal
 from . import evaluation as ev
 from . import pointcloud as pcio
-from .errors import InvalidInput, NonPositivePqs, StreamPcqError
+from .errors import DegenerateDesign, InvalidInput, NonPositivePqs, StreamPcqError
 from .model import ModelParams, VARIANTS, check_qp, predict
 from .table import finite_float, read_table, write_table
 
@@ -34,7 +34,7 @@ from .table import finite_float, read_table, write_table
 def _load_schema(path):
     path = path or os.environ.get("STREAMPCQ_SCHEMA")
     if path is None:
-        return bs.default_schema()
+        return None  # bitstream's default schema, whose extraction plan is built once
     if not Path(path).exists():
         print(f"error: schema file not found: {path}", file=sys.stderr)
         raise SystemExit(2)
@@ -145,10 +145,11 @@ def cmd_train(args) -> int:
 def _read_scores_csv(path):
     rows = [row.values for row in read_table(path, {"objective": finite_float,
                                                      "mos": finite_float})]
-    if len(rows) < 4:
-        raise InvalidInput(f"{path}: {len(rows)} score rows, need at least 4")
-    obj, mos = zip(*rows)
-    return ev.ScorePairSet(np.array(obj), np.array(mos))
+    obj, mos = np.array(rows, dtype=float).reshape(-1, 2).T.copy()
+    try:
+        return ev.ScorePairSet(obj, mos)
+    except DegenerateDesign as exc:  # too few rows
+        raise InvalidInput(f"{path}: {exc}") from None
 
 
 def cmd_eval(args) -> int:

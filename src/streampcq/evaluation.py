@@ -45,8 +45,10 @@ class ScorePairSet:
         mos = np.asarray(self.mos, dtype=float)
         object.__setattr__(self, "objective", obj)
         object.__setattr__(self, "mos", mos)
-        if len(obj) != len(mos) or len(obj) < 4:
-            raise ValueError("need equal-length score vectors of length >= 4")
+        if len(obj) != len(mos):
+            raise ValueError("need equal-length score vectors")
+        if len(obj) < 5:
+            raise DegenerateDesign(f"need at least five score pairs, got {len(obj)}")
         if not (np.all(np.isfinite(obj)) and np.all(np.isfinite(mos))):
             raise ValueError("scores must be finite")
 
@@ -218,9 +220,7 @@ def _search(s, y, b3, t, rss_floor):
                                   b3, t, rss, lams, params, mapped, th))
 
 
-def _check_panel(s, y):
-    if len(s) != len(y) or len(s) < 5:
-        raise DegenerateDesign("need at least five score pairs")
+def _check_panel(s):
     if np.all(s == s[0]):
         raise ZeroVariance("objective scores are constant")
 
@@ -251,10 +251,9 @@ def fit_logistic(objective, mos) -> LogisticFit:
     10/30/50/70/90 % quantiles of the objective with t*std in {1, 4}.  The
     lowest RSS wins.
     """
-    s = np.asarray(objective, dtype=float)
-    y = np.asarray(mos, dtype=float)
-    _check_panel(s, y)
-    return _fit_panels(s[None], y[None])[0]
+    pairs = ScorePairSet(objective, mos)
+    _check_panel(pairs.objective)
+    return _fit_panels(pairs.objective[None], pairs.mos[None])[0]
 
 
 def _report(pairs, rank_corr, fit) -> EvalReport:
@@ -312,7 +311,7 @@ def _evaluate_each(panels):
         if isinstance(pairs, ScorePairSet):
             try:
                 rank_corr = srcc(pairs.objective, pairs.mos)
-                _check_panel(pairs.objective, pairs.mos)
+                _check_panel(pairs.objective)
             except StreamPcqError as exc:
                 pairs = exc
         if isinstance(pairs, Exception):

@@ -129,11 +129,26 @@ def read_ply(path) -> PointCloud:
         rec = np.frombuffer(body, dtype=dtype, count=vertex_count)
         cols = {name: rec[name].astype(float) for name, _, _ in props}
 
-    positions = np.stack(
-        [_round_half_away(cols[a]) for a in ("x", "y", "z")], axis=1
-    ).astype(np.int32)
-    colors = np.stack([cols[a] for a in ("red", "green", "blue")], axis=1).astype(np.uint8)
+    positions = _whole_numbers({a: _round_half_away(cols[a]) for a in ("x", "y", "z")},
+                               np.int32, "an int32 voxel coordinate")
+    colors = _whole_numbers({a: cols[a] for a in ("red", "green", "blue")},
+                            np.uint8, "a colour in 0..255")
     return PointCloud(positions, colors)
+
+
+def _whole_numbers(cols, dtype, what):
+    """The columns of the dict `cols` side by side, as one array of `dtype`; a
+    value it cannot hold exactly, such as NaN or one out of its range, fails
+    the file rather than wrapping round."""
+    values = np.stack(list(cols.values()), axis=1)
+    with np.errstate(invalid="ignore"):  # NaN and values out of range, refused below
+        cast = values.astype(dtype)
+    bad = cast != values  # a cast that changed a value: no value of dtype equals it
+    if bad.any():
+        point, k = np.argwhere(bad)[0]
+        raise UnsupportedPly(f"property {list(cols)[k]!r} of vertex {point} holds "
+                             f"{float(values[point, k])!r}, not {what}")
+    return cast
 
 
 def write_ply(path, pc: PointCloud, binary: bool = False):

@@ -41,6 +41,8 @@ class SubjectiveMatrix:
             raise ValueError("need at least 2 stimuli and 2 subjects")
         if np.any(np.sum(~np.isnan(r), axis=0) < 2):
             raise ValueError("every subject needs at least two ratings")
+        if np.any(np.all(np.isnan(r), axis=1)):
+            raise ValueError("every stimulus needs at least one rating")
         if not self.stimulus_ids:
             object.__setattr__(self, "stimulus_ids",
                                tuple(f"s{i}" for i in range(r.shape[0])))
@@ -127,10 +129,13 @@ def compute_mos(matrix: SubjectiveMatrix) -> MosTable:
     if len(keep) < 2:
         raise DegenerateRange("screening left fewer than two subjects")
     kept = matrix.ratings[:, keep]
+    unrated = np.flatnonzero(np.all(np.isnan(kept), axis=1))
+    if unrated.size:
+        raise DegenerateRange("screening rejected every subject who rated stimulus "
+                              f"{matrix.stimulus_ids[unrated[0]]!r}")
     scaled = rescale_to_range(zscore(kept, [matrix.subject_ids[i] for i in keep]))
-    with np.errstate(invalid="ignore"):
-        mos = np.clip(np.nanmean(scaled, axis=1), 0.0, 100.0)  # guard round-off
-        std = np.nanstd(scaled, axis=1, ddof=0)
+    mos = np.clip(np.nanmean(scaled, axis=1), 0.0, 100.0)  # guard round-off
+    std = np.nanstd(scaled, axis=1, ddof=0)
     n_valid = np.sum(~np.isnan(scaled), axis=1)
     return MosTable(
         mos=mos,

@@ -1,4 +1,6 @@
 import dataclasses
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -105,7 +107,8 @@ def test_stage_a_exact_linear_group():
                            mos=-0.1 * tqs_from_qp(qp) + 80.0)
             for qp in (22, 28, 34, 40, 46)]
     out = stage_a_mos_vs_tqs(rows)
-    assert out[("c0", 1.0)] == pytest.approx((-0.1, 80.0), abs=1e-12)
+    assert (out.content.tolist(), out.pqs.tolist()) == (["c0"], [1.0])
+    assert (out.alpha[0], out.beta[0]) == pytest.approx((-0.1, 80.0), abs=1e-12)
 
 
 def test_stage_a_single_qp_group_skipped():
@@ -115,15 +118,16 @@ def test_stage_a_single_qp_group_skipped():
             TrainingRecord("c1", 1.0, 28, 0.5, 40.0, 58.0)]
     diag = FitDiagnostics()
     out = stage_a_mos_vs_tqs(rows, diag)
-    assert ("c0", 1.0) not in out
-    assert ("c1", 1.0) in out
-    assert any(g[1] == ("c0", 1.0) for g in diag.skipped_groups)
+    assert list(zip(out.content.tolist(), out.pqs.tolist())) == [("c1", 1.0)]
+    assert diag.skipped_groups == [("A", ("c0", 1.0), "all x values identical")]
 
 
 def test_stage_a_full_grid_recovery(synthetic_records, table_params):
     out = stage_a_mos_vs_tqs(synthetic_records)
     assert len(out) == 80
-    for (content, pqs), (alpha_obs, beta_obs) in out.items():
+    keys = list(zip(out.content.tolist(), out.pqs.tolist()))
+    assert keys == sorted({(r.content, r.pqs) for r in synthetic_records})
+    for (content, pqs), alpha_obs, beta_obs in zip(keys, out.alpha, out.beta):
         tc = next(r.tc for r in synthetic_records if r.content == content)
         assert alpha_obs == pytest.approx(table_params.c * tc + table_params.d, abs=1e-9)
         assert beta_obs == pytest.approx(
@@ -148,30 +152,37 @@ def test_stage_b_constant_tbpp_cell_skipped():
 
 
 def test_stage_c_exact():
-    alpha_by_group = {("a", 1.0): (0.05, 80.0), ("b", 1.0): (0.11, 81.0)}
-    tc = {"a": 10.0, "b": 40.0}
-    c, d = stage_c_alpha_tc(alpha_by_group, tc)
+    diag = FitDiagnostics()
+    c, d = stage_c_alpha_tc(np.array([10.0, 40.0]), np.array([0.05, 0.11]), diag)
     assert c == pytest.approx(0.002, abs=1e-12)
     assert d == pytest.approx(0.03, abs=1e-12)
+    assert diag.coefficients == {"C": (c, d)} and diag.stage_samples == {"C": 2}
+    assert diag.stage_rss["C"] == pytest.approx(0.0, abs=1e-30)
 
 
 def test_stage_d_table_values():
     betas = {85.4838: 1.0, 82.7833: 0.5, 77.3823: 0.25, 66.5803: 0.125}
-    alpha_by_group = {(f"c{i}", pqs): (0.0, beta)
-                      for i, (beta, pqs) in enumerate(betas.items())}
-    f1, f2 = stage_d_beta_pqs(alpha_by_group)
+    f1, f2 = stage_d_beta_pqs(np.array(list(betas.values())), np.array(list(betas)))
     assert (f1, f2) == pytest.approx((-2.7005, 88.1843), abs=1e-4)
 
 
+def test_stage_d_averages_each_pqs_level():
+    diag = FitDiagnostics()
+    f1, f2 = stage_d_beta_pqs(np.array([0.5, 1.0, 0.5, 1.0]), np.array([70.0, 80.0, 72.0, 84.0]),
+                              diag)
+    # level means 71 at 1/pqs = 2 and 82 at 1/pqs = 1
+    assert (f1, f2) == pytest.approx((-11.0, 93.0), abs=1e-12)
+    assert diag.stage_samples == {"D": 2}
+
+
 def test_stage_d_constant_beta():
-    alpha_by_group = {("a", 1.0): (0.0, 70.0), ("b", 0.5): (0.0, 70.0)}
-    assert stage_d_beta_pqs(alpha_by_group) == pytest.approx((0.0, 70.0))
+    assert stage_d_beta_pqs(np.array([1.0, 0.5]), np.array([70.0, 70.0])) == pytest.approx(
+        (0.0, 70.0))
 
 
 def test_stage_d_single_pqs_level():
-    alpha_by_group = {("a", 1.0): (0.0, 70.0), ("b", 1.0): (0.0, 75.0)}
     with pytest.raises(DegenerateDesign):
-        stage_d_beta_pqs(alpha_by_group)
+        stage_d_beta_pqs(np.array([1.0, 1.0]), np.array([70.0, 75.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +232,7 @@ def test_train_full_takes_any_iterable():
     params, diag = train_full(noisy)
     again, again_diag = train_full(r for r in noisy)
     assert params_tuple(again) == params_tuple(params) and again_diag == diag
-    assert stage_a_mos_vs_tqs(iter(noisy)) == stage_a_mos_vs_tqs(noisy)
+    assert stage_a_mos_vs_tqs(iter(noisy)).tobytes() == stage_a_mos_vs_tqs(noisy).tobytes()
 
 
 def test_record_columns_sort_once_and_pass_record_arrays_through(synthetic_records):
@@ -277,10 +288,14 @@ def random_panel(rng):
     return records
 
 
+def by_record_order(records):
+    return sorted(records, key=lambda r: (r.content, r.pqs, r.qp, r.tbpp, r.mos))
+
+
 def per_group_fit_line(stage, records, group_of, x_of, y_of):
     """The reference: records grouped in Python, fit_line once per group."""
     groups = {}
-    for r in sorted(records, key=lambda r: (r.content, r.pqs, r.qp, r.tbpp, r.mos)):
+    for r in by_record_order(records):
         groups.setdefault(group_of(r), []).append(r)
     fits, diag = {}, FitDiagnostics()
     rss = n = 0
@@ -302,10 +317,12 @@ def grouped(stage, records):
     cols = cal.record_columns(records)
     diag = FitDiagnostics()
     if stage == "A":
-        fits = cal._fit_groups("A", [cols.content, cols.pqs], tqs_from_qp(cols.qp), cols.mos, diag)
+        keys, x, y = [cols.content, cols.pqs], tqs_from_qp(cols.qp), cols.mos
     else:
-        fits = cal._fit_groups("B", [cols.pqs, cols.qp], cols.tbpp, cols.tc, diag)
-    return fits, diag
+        keys, x, y = [cols.pqs, cols.qp], cols.tbpp, cols.tc
+    first, slope, intercept = cal._fit_groups(stage, keys, x, y, diag)
+    group_keys = zip(*(k[first].tolist() for k in keys))
+    return dict(zip(group_keys, zip(slope.tolist(), intercept.tolist()))), diag
 
 
 STAGE_GROUPS = {
@@ -338,3 +355,67 @@ def test_grouped_fit_matches_fit_line_per_group(stage, seed):
     again, again_diag = grouped(stage, shuffled)
     assert again == got and again_diag == diag
 
+
+def per_group_c_or_d(stage, records):
+    """The reference of stage C or D as train_full runs it: stage A's fits as a
+    dict keyed by (content, pqs), the stage's points listed from it in Python
+    and one fit_line; returns the stage's (coefficients, RSS, sample count)."""
+    if len({r.pqs for r in records}) < 2 or len({r.qp for r in records}) < 2:
+        raise DegenerateDesign("training data must span two pqs and two qp levels")
+    fits = {(content, pqs): (alpha, beta)
+            for content, pqs, alpha, beta in stage_a_mos_vs_tqs(records).tolist()}
+    if stage == "C":
+        first_tc = {}
+        for r in by_record_order(records):
+            first_tc.setdefault(r.content, r.tc)
+        xs = [first_tc[content] for content, _pqs in sorted(fits)]
+        ys = [fits[key][0] for key in sorted(fits)]
+    else:
+        by_pqs = {}
+        for (_content, pqs), (_alpha, beta) in sorted(fits.items()):
+            by_pqs.setdefault(pqs, []).append(beta)
+        if len(by_pqs) < 2:
+            raise DegenerateDesign("need two or more distinct pqs levels")
+        xs = [1.0 / pqs for pqs in sorted(by_pqs)]
+        ys = [math.fsum(by_pqs[pqs]) / len(by_pqs[pqs]) for pqs in sorted(by_pqs)]
+    xs, ys = np.array(xs), np.array(ys)
+    slope, intercept = fit_line(xs, ys)
+    r = ys - (slope * xs + intercept)
+    return (slope, intercept), float(r @ r), len(xs)
+
+
+def pooled(stage, records):
+    """Stage C or D run by train_full, with stage B and the other stubbed out."""
+    other = "stage_d_beta_pqs" if stage == "C" else "stage_c_alpha_tc"
+    with mock.patch.object(cal, "stage_b_tc_model", return_value=(0.0,) * 5), \
+            mock.patch.object(cal, other, return_value=(0.0, 0.0)):
+        params, diag = train_full(records)
+    coefficients = (params.c, params.d) if stage == "C" else (params.f1, params.f2)
+    assert diag.coefficients == {stage: coefficients}
+    return coefficients, diag.stage_rss[stage], diag.stage_samples[stage]
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DegenerateDesign as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("seed", range(40))
+@pytest.mark.parametrize("stage", ["C", "D"])
+def test_pooled_fit_matches_fit_line_over_python_groups(stage, seed):
+    rng = np.random.default_rng(seed)
+    records = random_panel(rng)
+    want = outcome(per_group_c_or_d, stage, records)
+    # bit for bit: coefficients, RSS and sample count, or the same refusal
+    assert outcome(pooled, stage, records) == want
+    rng.shuffle(records)
+    assert outcome(pooled, stage, records) == want
+
+
+@pytest.mark.parametrize("stage", ["C", "D"])
+def test_pooled_fit_matches_fit_line_on_a_noisy_grid(stage):
+    # 20 betas per pqs level: enough for any but an exact mean to move a bit
+    records = make_synthetic_records(noise_sigma=2.0, rng=np.random.default_rng(2))
+    assert pooled(stage, records) == per_group_c_or_d(stage, records)

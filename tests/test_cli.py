@@ -68,6 +68,19 @@ def test_extract_sidecar_only_point_count(tmp_path):
     assert row["point_count_source"] == "sidecar"
 
 
+def test_synth_and_extract_share_the_default_schema(tmp_path, monkeypatch):
+    # with neither --schema nor STREAMPCQ_SCHEMA, bitstream's one default schema
+    # is used, so its extraction plan is not built again for each command
+    from streampcq import bitstream as bs
+    monkeypatch.delenv("STREAMPCQ_SCHEMA", raising=False)
+    monkeypatch.setattr(bs, "default_schema", None)  # a call would raise TypeError
+    stream, out = tmp_path / "fix.bin", tmp_path / "features.csv"
+    assert run(["synth", "--pqs", 1, "--qp", 22, "--texture-bits", 800,
+                "--points", 100, "--out", stream]) == 0
+    assert run(["extract", stream, "--out", out]) == 0
+    assert read_csv(out)[0]["qp"] == "22"
+
+
 def test_extract_missing_schema_usage_error(tmp_path, capsys):
     stream = tmp_path / "fix.bin"
     run(["synth", "--pqs", 1, "--qp", 22, "--texture-bits", 800,
@@ -236,7 +249,7 @@ def test_missing_input_file_is_an_error_line(tmp_path, capsys, argv):
     (["eval", "NO_MOS"], "NO_MOS: line 1: no column 'mos'"),
     (["eval", "NAN_MOS"], "NAN_MOS: line 3: column 'mos': 'nan' is not a finite float"),
     (["eval", "SHORT_ROW"], "SHORT_ROW: line 4: column 'mos': '' is not a finite float"),
-    (["eval", "THREE_ROWS"], "THREE_ROWS: 3 score rows, need at least 4"),
+    (["eval", "THREE_ROWS"], "THREE_ROWS: need at least five score pairs, got 3"),
     (["significance", "NO_RESIDUAL", "NO_RESIDUAL"], "NO_RESIDUAL: line 1: no column 'residual'"),
     (["tc", "CLOUD", "--block-edge", 0], "CLOUD: block_edge must be >= 1, got 0"),
     (["score", "BYTE_FEATURES"],
@@ -258,6 +271,16 @@ def test_missing_input_file_is_an_error_line(tmp_path, capsys, argv):
     (["splits", "training.csv", "--seed", 1, "--train-contents", -1],
      "n_train must be >= 1, got -1"),
     (["tc", "VERTEX_TWO"], "VERTEX_TWO: vertex count 'two' is not a positive whole number"),
+    (["tc", "USHORT_RED"],
+     "USHORT_RED: property 'red' of vertex 1 holds 300.0, not a colour in 0..255"),
+    (["tc", "SHORT_GREEN"],
+     "SHORT_GREEN: property 'green' of vertex 1 holds -1.0, not a colour in 0..255"),
+    (["tc", "FLOAT_BLUE"],
+     "FLOAT_BLUE: property 'blue' of vertex 1 holds 2.7, not a colour in 0..255"),
+    (["tc", "NAN_X"], "NAN_X: property 'x' of vertex 1 holds nan, not an int32 voxel coordinate"),
+    (["tc", "FAR_Z"],
+     "FAR_Z: property 'z' of vertex 1 holds 1000000000000.0, not an int32 voxel coordinate"),
+    (["eval", "FOUR_ROWS"], "FOUR_ROWS: need at least five score pairs, got 4"),
 ])
 def test_bad_csv_or_option_is_one_error_line(tmp_path, capsys, argv, says):
     from streampcq.pointcloud import PointCloud, write_ply
@@ -273,6 +296,7 @@ def test_bad_csv_or_option_is_one_error_line(tmp_path, capsys, argv, says):
         "NAN_MOS": "objective,mos\n1,2\n2,nan\n3,4\n4,5\n5,5\n",
         "SHORT_ROW": "objective,mos\n1,2\n2,3\n3\n4,5\n5,5\n",
         "THREE_ROWS": "objective,mos\n1,2\n2,3\n3,4\n",
+        "FOUR_ROWS": "objective,mos\n1,2\n2,3\n3,4\n4,5\n",
         "NO_RESIDUAL": "r\n1\n2\n3\n",
         "NO_TBPP": "stream,pqs,qp\ns1,0.25,46\ns2,0.5,22\n",
         "BYTE_FEATURES": "stream,pqs,qp,tbpp\ns1,0.25,46,0.5\n\xff,0.5,22,0.5\n",
@@ -289,6 +313,18 @@ def test_bad_csv_or_option_is_one_error_line(tmp_path, capsys, argv, says):
                                          np.array([[0, 0, 0], [255, 255, 255]], dtype=np.uint8)))
     names["VERTEX_TWO"].write_bytes(
         names["CLOUD"].read_bytes().replace(b"vertex 2", b"vertex two"))
+    # two-point ASCII clouds, each with one property type or value the reader refuses
+    plys = {"USHORT_RED": ("red", "ushort", "1 0 0 300 0 0"),
+            "SHORT_GREEN": ("green", "short", "1 0 0 0 -1 0"),
+            "FLOAT_BLUE": ("blue", "float", "1 0 0 0 0 2.7"),
+            "NAN_X": ("x", "float", "nan 0 0 0 0 0"),
+            "FAR_Z": ("z", "float", "1 0 1e12 0 0 0")}
+    for name, (prop, kind, row) in plys.items():
+        types = dict.fromkeys("xyz", "float") | dict.fromkeys(("red", "green", "blue"), "uchar")
+        header = "".join(f"property {t} {p}\n" for p, t in (types | {prop: kind}).items())
+        names[name] = tmp_path / f"{name}.ply"
+        names[name].write_text("ply\nformat ascii 1.0\nelement vertex 2\n" + header
+                               + f"end_header\n0 0 0 0 0 0\n{row}\n")
     assert run([names.get(a, a) for a in argv]) == 1
     err = capsys.readouterr().err
     name = next(a for a in argv if a in names)

@@ -154,6 +154,14 @@ def test_logistic_too_few_points():
         fit_logistic(np.arange(4.0), np.arange(4.0))
 
 
+def test_score_pair_set_needs_five_equal_length_pairs():
+    with pytest.raises(DegenerateDesign, match="need at least five score pairs, got 4"):
+        ScorePairSet(np.arange(4.0), np.arange(4.0))
+    with pytest.raises(ValueError, match="equal-length"):
+        ScorePairSet(np.arange(5.0), np.arange(6.0))
+    assert len(ScorePairSet(np.arange(5.0), np.arange(5.0)).mos) == 5
+
+
 def test_logistic_decreasing_data():
     s = np.linspace(0, 10, 30)
     y = logistic((10.0, 90.0, 5.0, 2.0), s)  # decreasing: b1 < b2
@@ -425,8 +433,7 @@ def test_random_splits_default_variant_fits_noise_free_grid():
 
 def test_loocv_reports_small_held_out_contents_as_failed_folds():
     records = make_synthetic_records(tc_values=[10.0, 30.0, 50.0, 70.0, 90.0])
-    # content03 keeps 4 stimuli (too few for the logistic fit), content04
-    # keeps 3 (too few for a score pair set)
+    # content03 keeps 4 stimuli and content04 keeps 3: too few for a score pair set
     keep = {"content03": 4, "content04": 3}
     seen = {}
     rows = []
@@ -435,7 +442,8 @@ def test_loocv_reports_small_held_out_contents_as_failed_folds():
         if seen[r.content] <= keep.get(r.content, 20):
             rows.append(r)
     folds, summary = loocv(rows)
-    assert sorted(summary["failed_folds"]) == ["content03", "content04"]
+    assert summary["failed_folds"] == {"content03": "need at least five score pairs, got 4",
+                                       "content04": "need at least five score pairs, got 3"}
     assert sorted(folds) == ["content00", "content01", "content02"]
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -134,6 +135,28 @@ def test_float_rounding_half_away(tmp_path):
     )
     pc = read_ply(p)
     assert pc.positions.tolist() == [[1, 2, -1], [2, -3, 0]]
+
+
+@pytest.mark.parametrize("types, row, says", [
+    ("<f4 <f4 <f4 <u2 u1 u1", (0, 0, 0, 300, 0, 0), "'red' of vertex 1 holds 300.0"),
+    ("<f4 <f4 <f4 u1 <i2 u1", (0, 0, 0, 0, -1, 0), "'green' of vertex 1 holds -1.0"),
+    ("<f4 <f4 <f4 u1 u1 <f4", (0, 0, 0, 0, 0, 2.7), "'blue' of vertex 1 holds 2.7"),
+    ("<f8 <f4 <f4 u1 u1 u1", (2.0**31, 0, 0, 0, 0, 0), "'x' of vertex 1 holds 2147483648.0"),
+    ("<f4 <f4 <f4 u1 u1 u1", (0, float("inf"), 0, 0, 0, 0), "'y' of vertex 1 holds inf"),
+])
+def test_binary_values_that_would_wrap_are_refused(tmp_path, types, row, says):
+    names = ("x", "y", "z", "red", "green", "blue")
+    ply_types = {"<f4": "float", "<f8": "double", "u1": "uchar", "<u2": "ushort", "<i2": "short"}
+    rec = np.zeros(2, dtype=list(zip(names, types.split())))
+    rec[1] = row
+    p = tmp_path / "wide.ply"
+    p.write_bytes(("ply\nformat binary_little_endian 1.0\nelement vertex 2\n"
+                   + "".join(f"property {ply_types[t]} {a}\n" for a, t in zip(names, types.split()))
+                   + "end_header\n").encode("ascii") + rec.tobytes())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no "invalid value encountered in cast" on the way
+        with pytest.raises(UnsupportedPly, match=f"property {says}"):
+            read_ply(p)
 
 
 # ---------------------------------------------------------------------------

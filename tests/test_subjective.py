@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -216,6 +218,26 @@ def test_missing_values_handled():
     assert np.isfinite(table.mos).all()
 
 
+def test_a_stimulus_without_a_rating_is_refused():
+    ratings = np.array([[10.0, 20.0], [np.nan, np.nan], [50.0, 60.0]])
+    with pytest.raises(ValueError, match="every stimulus needs at least one rating"):
+        SubjectiveMatrix(ratings)
+
+
+def test_a_stimulus_rated_only_by_rejected_subjects_is_refused():
+    # subject 0 of the alternating-outlier panel is rejected, and only it rated s99
+    rng = np.random.default_rng(5)
+    ratings = 50.0 + rng.normal(0, 1.0, size=(100, 30))
+    ratings[:20, 0] = 50.0 + np.where(np.arange(20) % 2 == 0, 50.0, -50.0)
+    ratings[99, 1:] = np.nan
+    m = SubjectiveMatrix(ratings)
+    assert 0 in screen_outliers(m.ratings)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no "Mean of empty slice" on the way
+        with pytest.raises(DegenerateRange, match="rated stimulus 's99'"):
+            compute_mos(m)
+
+
 def test_matrix_csv_roundtrip(tmp_path):
     path = tmp_path / "ratings.csv"
     path.write_text("stimulus,obsA,obsB\ns1,10,20\ns2,30,\ns3,50,60\n")
@@ -243,7 +265,8 @@ def test_matrix_csv_short_row_is_missing_ratings(tmp_path):
     (b"stimulus,obsA,obsA\ns1,10,20\ns2,30,40\n", "line 1: column 'obsA' repeats"),
     (b"stimulus,obsA\ns1,10\ns2,30\n", "need at least 2 stimuli and 2 subjects"),
     (b"", "need at least 2 stimuli and 2 subjects"),
-], ids=["word", "inf", "not-utf8", "repeated-subject", "one-subject", "empty"])
+    (b"stimulus,obsA,obsB\ns1,10,20\ns2,,\ns3,50,60\n", "every stimulus needs at least one rating"),
+], ids=["word", "inf", "not-utf8", "repeated-subject", "one-subject", "empty", "unrated-stimulus"])
 def test_matrix_csv_bad_input_is_invalid_input(tmp_path, data, says):
     path = tmp_path / "ratings.csv"
     path.write_bytes(data)
