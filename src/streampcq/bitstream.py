@@ -5,14 +5,14 @@ syntax schema.  Extraction reads a stream forward once: each TLV header,
 and from each unit a target needs only its header prefix.  The rest of a
 body is skipped by offset, or read and dropped in 64 KiB chunks from a
 pipe, so memory does not grow with payload size, even at a network node;
-nor with units that no target reads, which leave only a running length sum.
+nor with units that no target reads, which leave only a running body length
+per unit code of the schema.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
-import io
-import json
 import math
 import os
 from dataclasses import dataclass, field
@@ -31,6 +31,7 @@ from .errors import (
     ZeroPointCount,
 )
 from .model import check_qp
+from .table import read_document, write_document
 
 __all__ = [
     "TlvUnit",
@@ -187,21 +188,10 @@ class SyntaxSchema:
     def load(cls, path) -> "SyntaxSchema":
         """Read a JSON or TOML schema; InvalidSchema if it does not parse or
         is not shaped like one."""
-        with open(path, "rb") as fh:
-            text = fh.read()
-        try:
-            if str(path).endswith(".toml"):
-                import tomllib
-
-                return cls.from_dict(tomllib.loads(text.decode()))
-            return cls.from_dict(json.loads(text))
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-            raise InvalidSchema(f"schema {path}: {reason}") from exc
+        return read_document(path, cls.from_dict, InvalidSchema, "schema")
 
     def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
+        write_document(path, self.to_dict())
 
 
 def default_schema() -> SyntaxSchema:
@@ -336,23 +326,25 @@ def _chunks(fh, n: int):
         yield chunk
 
 
-def _scan(data, schema: SyntaxSchema, head_bytes: dict | None, sum_type=None) -> tuple:
-    """(units, summed) of the TLV units of `data` (bytes or a path), in one
-    forward pass.  units holds (unit_type, body_length, head) of each unit
+def _scan(data, schema: SyntaxSchema, head_bytes: dict | None) -> tuple:
+    """(units, body_bytes) of the TLV units of `data` (bytes or a path), in
+    one forward pass.  units holds (unit_type, body_length, head) of each unit
     whose type head_bytes names, head being as many bytes of its body as
     head_bytes gives; when head_bytes is None it holds every unit, head
-    being its whole body.  summed is the total body length of the units of
-    type `sum_type`, None if there are none.  A file is read at offsets, so
-    a skipped body costs no call; bytes skip by seeking, and a pipe by
-    reading and dropping."""
-    units, summed = [], None
+    being its whole body.  body_bytes maps each unit code of the schema to
+    the total body length of its units, so a stream cannot grow it.  Bytes
+    are sliced and a file read at offsets (os.pread), so a skipped body
+    costs no call; a pipe is read forward, a skipped body read and dropped."""
+    units, body_bytes, codes = [], {}, set(schema.unit_codes.values())
     bytes_given = isinstance(data, (bytes, bytearray))
-    with io.BytesIO(data) if bytes_given else open(data, "rb", buffering=0) as fh:
-        seekable = fh.seekable()
-        end = len(data) if bytes_given else fh.seek(0, os.SEEK_END) if seekable else math.inf
-        fd = fh.fileno() if seekable and not bytes_given else None
-        read = functools.partial(os.pread, fd) if fd is not None else (
-            lambda n, _: b"".join(_chunks(fh, n)))
+    with contextlib.nullcontext() if bytes_given else open(data, "rb", buffering=0) as fh:
+        pipe = not bytes_given and not fh.seekable()
+        if bytes_given:
+            end, read = len(data), lambda n, off: bytes(data[off : off + n])
+        elif pipe:
+            end, read = math.inf, lambda n, _: b"".join(_chunks(fh, n))
+        else:
+            end, read = fh.seek(0, os.SEEK_END), functools.partial(os.pread, fh.fileno())
         hdr = schema.type_bytes + schema.length_bytes
         off = 0  # where the next unit starts
         while off < end and (head := read(hdr, off)):
@@ -363,22 +355,20 @@ def _scan(data, schema: SyntaxSchema, head_bytes: dict | None, sum_type=None) ->
             want = length if head_bytes is None else head_bytes.get(utype, 0)
             body = read(min(want, length, end - off - hdr), off + hdr) if want else b""
             rest = length - len(body)
-            if bytes_given:
-                fh.seek(rest, os.SEEK_CUR)
-            elif not seekable:
+            if pipe:
                 rest -= sum(map(len, _chunks(fh, rest)))
             off += hdr + length
             if head_bytes is None or utype in head_bytes:
                 units.append((utype, length, body))
-            if utype == sum_type:
-                summed = length + (summed or 0)
+            if utype in codes:
+                body_bytes[utype] = body_bytes.get(utype, 0) + length
         if not off:
             raise EmptyInput("empty bitstream")
         # only the last unit can end past the end of the stream
-        have = length - (off - end if seekable else rest)
+        have = length - (rest if pipe else off - end)
     if have < length:
         raise TruncatedUnit(f"unit type {utype} declares {length} bytes, only {have} remain")
-    return units, summed
+    return units, body_bytes
 
 
 def read_tlv_units(data, schema: SyntaxSchema) -> list:
@@ -467,23 +457,24 @@ def compute_tbpp(texture_bits: int, point_count: int) -> float:
     return texture_bits / point_count
 
 
+def _json_object(doc):
+    if not isinstance(doc, dict):
+        raise ValueError("not a JSON object")
+    return doc
+
+
 def load_sidecar(path) -> dict:
-    """The JSON object of a `<stream>.meta.json` sidecar file; InvalidSidecar
-    if the file does not hold one JSON object."""
-    try:
-        with open(path, "rb") as fh:
-            sidecar = json.load(fh)
-    except ValueError as exc:  # not JSON, or not UTF-8
-        raise InvalidSidecar(f"sidecar {path}: {exc}") from exc
-    if not isinstance(sidecar, dict):
-        raise InvalidSidecar(f"sidecar {path}: not a JSON object")
-    return sidecar
+    """The object of a `<stream>.meta.json` sidecar file, read as TOML if the
+    name ends in `.toml`; InvalidSidecar if the file does not hold one object."""
+    return read_document(path, _json_object, InvalidSidecar, "sidecar")
 
 
 def _sidecar_value(name, value, whole):
     """`value` as a finite float or, when `whole`, as a non-negative int;
-    InvalidSidecar naming `name` for anything else."""
+    InvalidSidecar naming `name` for anything else, a boolean too."""
     try:
+        if isinstance(value, bool):  # JSON true is no number, though float(True) is 1.0
+            raise TypeError(value)
         number = float(value)
         if whole:
             count = int(value)
@@ -516,7 +507,8 @@ def extract_features(
     schema = schema or _DEFAULT_SCHEMA
     sidecar = sidecar or {}
     code_of, heads, reads = schema._plan
-    units, attr_bytes = _scan(data, schema, heads, code_of.get("attribute_data"))
+    units, body_bytes = _scan(data, schema, heads)
+    attr_bytes = body_bytes.get(code_of.get("attribute_data"))
 
     def resolve(name, in_stream, whole, decoded=None):
         """(value, source): the stream's value unless None, else the sidecar's

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
@@ -28,7 +27,7 @@ from . import evaluation as ev
 from . import pointcloud as pcio
 from .errors import DegenerateDesign, InvalidInput, NonPositivePqs, StreamPcqError
 from .model import ModelParams, VARIANTS, check_qp, predict
-from .table import finite_float, read_table, write_table
+from .table import finite_float, read_table, write_document, write_table
 
 
 def _load_schema(path):
@@ -221,10 +220,10 @@ def cmd_synth(args) -> int:
     data = bs.synthesize_bitstream(feats, _load_schema(args.schema))
     Path(args.out).write_bytes(data)
     if args.sidecar:
-        Path(str(args.out) + ".meta.json").write_text(json.dumps({
+        write_document(str(args.out) + ".meta.json", {
             "pqs": args.pqs, "qp": args.qp,
             "texture_bits": args.texture_bits, "point_count": args.points,
-        }, indent=2))
+        })
     return 0
 
 

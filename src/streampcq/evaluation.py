@@ -365,6 +365,8 @@ def random_split_eval(records, n_splits: int = 1000, n_train: int = 10,
     """
     if seed is None:
         raise ValueError("seed is mandatory for reproducibility")
+    if seed < 0:
+        raise InvalidInput(f"seed must be >= 0, got {seed}")
     if n_splits < 0:
         raise InvalidInput(f"n_splits must be >= 0, got {n_splits}")
     if n_train < 1:
@@ -403,6 +405,8 @@ def f_quantile(p: float, d1: int, d2: int) -> float:
 
 def f_test(residuals_a, residuals_b, level: float = 0.95) -> SignificanceVerdict:
     """Two-tailed variance-ratio test; `a` is the row model."""
+    if not 0 < level < 1:  # nan too
+        raise InvalidInput(f"level must be between 0 and 1, got {level}")
     a = np.asarray(residuals_a, dtype=float)
     b = np.asarray(residuals_b, dtype=float)
     if len(a) < 2 or len(b) < 2:

@@ -14,7 +14,6 @@ Every function takes scalars or numpy arrays alike.
 
 from __future__ import annotations
 
-import json
 import numbers
 import sys
 from dataclasses import dataclass, asdict, fields
@@ -22,6 +21,7 @@ from dataclasses import dataclass, asdict, fields
 from ._lazy import np
 
 from .errors import InvalidFeature, InvalidParams, NonPositivePqs
+from .table import read_document, write_document
 
 __all__ = [
     "VARIANTS",
@@ -80,20 +80,10 @@ class ModelParams:
     def load(cls, path) -> "ModelParams":
         """Read JSON or TOML parameters; InvalidParams if they do not parse or
         are not one table of known names and valid values."""
-        with open(path, "rb") as fh:
-            text = fh.read()
-        try:
-            if str(path).endswith(".toml"):
-                import tomllib
-
-                return cls.from_dict(tomllib.loads(text.decode()))
-            return cls.from_dict(json.loads(text))
-        except (TypeError, ValueError) as exc:
-            raise InvalidParams(f"params {path}: {exc}") from exc
+        return read_document(path, cls.from_dict, InvalidParams, "params")
 
     def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
+        write_document(path, self.to_dict())
 
 
 @dataclass(frozen=True)

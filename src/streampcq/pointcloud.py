@@ -179,14 +179,16 @@ def write_ply(path, pc: PointCloud, binary: bool = False):
 # ---------------------------------------------------------------------------
 # Texture complexity
 
+_INT64_MAX = 2**63 - 1  # block coordinates and keys are int64
+
 
 def _block_runs(positions, block_edge):
     """(order, starts): a stable sort of the points by block, x then y then z,
     and where each block's run of points starts in that order."""
-    cols = [np.floor_divide(positions[:, k], block_edge).astype(np.int64) for k in range(3)]
+    cols = [np.floor_divide(positions[:, k].astype(np.int64), block_edge) for k in range(3)]
     lows = [int(c.min()) for c in cols]
     sx, sy, sz = (int(c.max()) - lo + 1 for c, lo in zip(cols, lows))
-    if sx * sy * sz <= np.iinfo(np.int64).max:
+    if sx * sy * sz <= _INT64_MAX:
         # one int64 key per block, in the same order as the three columns
         bx, by, bz = (c - lo for c, lo in zip(cols, lows))
         key = (bx * sy + by) * sz + bz
@@ -207,6 +209,8 @@ def compute_tc(pc: PointCloud, block_edge: int = 4, luma=None) -> TcResult:
     """
     if block_edge < 1:
         raise InvalidInput(f"block_edge must be >= 1, got {block_edge}")
+    if block_edge > _INT64_MAX:
+        raise InvalidInput(f"block_edge must be <= {_INT64_MAX}, got {block_edge}")
     if luma is None:
         luma = rgb_to_luma(pc.colors[:, 0], pc.colors[:, 1], pc.colors[:, 2])
     else:

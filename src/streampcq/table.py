@@ -1,5 +1,6 @@
 """The format of every table the toolkit reads or writes: CSV in UTF-8
-whatever the locale, a header row and '.' decimals.
+whatever the locale, a header row and '.' decimals; and of every document (a
+schema, params or sidecar): JSON, or TOML when its name ends in `.toml`.
 
 A column's kind parses its cells: `str`, `int`, `finite_float` or `rating`.
 A missing column, bytes that are not UTF-8 or a cell its kind refuses is an
@@ -17,7 +18,8 @@ from typing import NamedTuple
 
 from .errors import InvalidInput
 
-__all__ = ["Row", "finite_float", "rating", "read_table", "write_table"]
+__all__ = ["Row", "finite_float", "rating", "read_document", "read_table",
+           "write_document", "write_table"]
 
 
 def finite_float(cell: str) -> float:
@@ -126,3 +128,25 @@ def write_table(out, header, rows, as_json=False):
         elif fh is not sys.stdout:
             fh.flush()
             fh.detach()  # stdout's buffer stays open
+
+
+def read_document(path, convert, error, what):
+    """`convert` of the document at `path`.  An AttributeError, KeyError,
+    TypeError or ValueError of the parse or of `convert` (not of opening the
+    file) is raised as `error("<what> <path>: <reason>")`."""
+    with open(path, "rb") as fh:
+        text = fh.read()
+    try:
+        if str(path).endswith(".toml"):
+            import tomllib  # loaded here: only a TOML document needs it
+            return convert(tomllib.loads(text.decode()))
+        return convert(json.loads(text))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise error(f"{what} {path}: {reason}") from exc
+
+
+def write_document(path, obj):
+    """Write `obj` to the file `path` as JSON indented by two spaces."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2)

@@ -511,7 +511,7 @@ GOOD_SIDECAR = {"pqs": 0.5, "qp": 34, "texture_bits": 800, "point_count": 100}
 @pytest.mark.parametrize("name, value", [
     ("texture_bits", None), ("qp", "x"), ("pqs", "nan"), ("pqs", "inf"), ("pqs", float("-inf")),
     ("point_count", 1.5), ("texture_bits", -8), ("qp", [34]), ("point_count", "1e400"),
-    ("texture_bits", 10**400),
+    ("texture_bits", 10**400), ("point_count", True), ("pqs", False),
 ])
 def test_bad_sidecar_value_names_its_field(name, value):
     with pytest.raises(InvalidSidecar) as ei:
@@ -547,6 +547,17 @@ def test_load_sidecar_reads_the_object(tmp_path):
     path = tmp_path / "s.bin.meta.json"
     path.write_text(json.dumps(GOOD_SIDECAR))
     assert bs.load_sidecar(path) == GOOD_SIDECAR
+
+
+def test_toml_sidecar_loads_like_its_json_twin(tmp_path):
+    toml, twin = tmp_path / "s.bin.meta.toml", tmp_path / "s.bin.meta.json"
+    toml.write_text("pqs = 0.5\nqp = 34\ntexture_bits = 800\npoint_count = 100\n")
+    twin.write_text(json.dumps(GOOD_SIDECAR))
+    assert bs.load_sidecar(toml) == bs.load_sidecar(twin) == GOOD_SIDECAR
+    # a .toml name is parsed as TOML, so JSON text there does not parse
+    toml.write_text(json.dumps(GOOD_SIDECAR))
+    with pytest.raises(InvalidSidecar, match="s.bin.meta.toml"):
+        bs.load_sidecar(toml)
 
 
 @pytest.mark.parametrize("name, text", [
@@ -788,6 +799,23 @@ def test_units_no_target_reads_are_not_kept(tmp_path):
         assert got == f
         assert peak < 64 * 1024, f"peak {peak} bytes to extract {len(data) // 5} units"
     assert len(bs.read_tlv_units(data, SCHEMA)) == len(bs.read_tlv_units(synth, SCHEMA)) + 200_000
+
+
+def test_units_of_types_the_schema_lacks_leave_no_sums():
+    # a three-byte type field: 1 MB of empty units, each of its own type
+    wide = bs.SyntaxSchema.from_dict({**SCHEMA.to_dict(),
+                                      "framing": {"type_bytes": 3, "length_bytes": 1}})
+    f = feats(0.5, 28, 8 * 300, 50)
+    data = bs.synthesize_bitstream(f, wide) + bs.write_tlv_units(
+        [bs.TlvUnit(100 + i, b"") for i in range(250_000)], wide)
+    tracemalloc.start()
+    try:
+        got = bs.extract_features(data, wide)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == f
+    assert peak < 64 * 1024, f"peak {peak} bytes to extract 250000 units of distinct types"
 
 
 def test_unreadable_paths_fail_as_open_does(tmp_path):

@@ -281,6 +281,15 @@ def test_missing_input_file_is_an_error_line(tmp_path, capsys, argv):
     (["tc", "FAR_Z"],
      "FAR_Z: property 'z' of vertex 1 holds 1000000000000.0, not an int32 voxel coordinate"),
     (["eval", "FOUR_ROWS"], "FOUR_ROWS: need at least five score pairs, got 4"),
+    (["significance", "RESIDUALS", "RESIDUALS", "--level", 1.5],
+     "level must be between 0 and 1, got 1.5"),
+    (["significance", "RESIDUALS", "RESIDUALS", "--level", "nan"],
+     "level must be between 0 and 1, got nan"),
+    (["significance", "RESIDUALS", "RESIDUALS", "--level", -1],
+     "level must be between 0 and 1, got -1.0"),
+    (["splits", "training.csv", "--seed", -1], "seed must be >= 0, got -1"),
+    (["tc", "CLOUD", "--block-edge", 99999999999999999999],
+     "CLOUD: block_edge must be <= 9223372036854775807, got 99999999999999999999"),
 ])
 def test_bad_csv_or_option_is_one_error_line(tmp_path, capsys, argv, says):
     from streampcq.pointcloud import PointCloud, write_ply
@@ -298,6 +307,7 @@ def test_bad_csv_or_option_is_one_error_line(tmp_path, capsys, argv, says):
         "THREE_ROWS": "objective,mos\n1,2\n2,3\n3,4\n",
         "FOUR_ROWS": "objective,mos\n1,2\n2,3\n3,4\n4,5\n",
         "NO_RESIDUAL": "r\n1\n2\n3\n",
+        "RESIDUALS": "residual\n1\n2\n4\n",
         "NO_TBPP": "stream,pqs,qp\ns1,0.25,46\ns2,0.5,22\n",
         "BYTE_FEATURES": "stream,pqs,qp,tbpp\ns1,0.25,46,0.5\n\xff,0.5,22,0.5\n",
         "BYTE_SCORES": "objective,mos\n1,2\n2,3\xff\n3,4\n4,5\n5,5\n",

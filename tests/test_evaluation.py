@@ -426,6 +426,11 @@ def test_random_splits_require_seed(synthetic_records):
         random_split_eval(synthetic_records, n_splits=1, seed=None)
 
 
+def test_random_splits_refuse_a_negative_seed(synthetic_records):
+    with pytest.raises(InvalidInput, match="seed must be >= 0, got -1"):
+        random_split_eval(synthetic_records, n_splits=1, seed=-1)
+
+
 def test_random_splits_default_variant_fits_noise_free_grid():
     _results, summary = random_split_eval(make_synthetic_records(), n_splits=20, seed=1)
     assert summary["mean"]["plcc"] > 0.999
@@ -570,6 +575,12 @@ def test_f_test_mirrored():
     va, vb = f_test(a, b), f_test(b, a)
     assert va.f_statistic == pytest.approx(1.0 / vb.f_statistic)
     assert {va.decision, vb.decision} == {"row-better", "column-better"}
+
+
+@pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -1.0, float("nan")])
+def test_f_test_level_must_lie_between_0_and_1(level):
+    with pytest.raises(InvalidInput, match=f"level must be between 0 and 1, got {level}"):
+        f_test([1.0, 2.0, 4.0], [1.0, 3.0, 2.0], level=level)
 
 
 def test_f_quantile_matches_scipy():

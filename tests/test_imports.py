@@ -77,12 +77,21 @@ def test_cli_import_leaves_scipy_unloaded():
     assert fresh("import sys, streampcq.cli; print('scipy' in sys.modules)") == ["False"]
 
 
+def importers(*modules) -> list:
+    """The package files that import any of `modules`, anywhere in the file."""
+    return [p.name for p in sorted(PACKAGE.glob("*.py"))
+            if any(isinstance(n, ast.Import) and any(a.name in modules for a in n.names)
+                   or isinstance(n, ast.ImportFrom) and n.module in modules
+                   for n in ast.walk(ast.parse(p.read_text())))]
+
+
 def test_only_the_table_module_imports_csv():
-    importers = [p.name for p in sorted(PACKAGE.glob("*.py"))
-                 if any(isinstance(n, ast.Import) and any(a.name == "csv" for a in n.names)
-                        or isinstance(n, ast.ImportFrom) and n.module == "csv"
-                        for n in ast.walk(ast.parse(p.read_text())))]
-    assert importers == ["table.py"]
+    assert importers("csv") == ["table.py"]
+
+
+def test_only_the_table_module_reads_or_writes_documents():
+    # schema, params and sidecar files are parsed and written by table alone
+    assert importers("json", "tomllib") == ["table.py"]
 
 
 def names_numpy(node) -> bool:

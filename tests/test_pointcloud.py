@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from streampcq.errors import MalformedHeader, NoEligibleBlocks, UnsupportedPly
+from streampcq.errors import InvalidInput, MalformedHeader, NoEligibleBlocks, UnsupportedPly
 from streampcq.pointcloud import (
     PointCloud,
     _block_runs,
@@ -258,6 +258,20 @@ def test_tc_matches_per_block_std_loop(block_edge):
     res = compute_tc(pc, block_edge)
     assert res.blocks_used == len(stds)
     assert res.tc == pytest.approx(sum(stds) / len(stds), rel=1e-13)
+
+
+@pytest.mark.parametrize("block_edge", [2**31, 2**63 - 1])
+def test_tc_takes_a_block_edge_past_int32(block_edge):
+    # int32 coordinates: one block of the two points at x >= 0, and two lone points
+    pos = np.array([[0, 0, 0], [2**31 - 1, 5, 9], [-1, 0, 0], [-2**31, -7, -1]], dtype=np.int32)
+    pc = PointCloud(pos, np.array([[0] * 3, [255] * 3, [10] * 3, [30] * 3], dtype=np.uint8))
+    res = compute_tc(pc, block_edge)
+    assert (res.tc, res.blocks_used, res.block_edge) == (127.5, 1, block_edge)
+
+
+def test_tc_refuses_a_block_edge_past_int64(random_cloud):
+    with pytest.raises(InvalidInput, match=f"block_edge must be <= {2**63 - 1}, got {2**63}"):
+        compute_tc(random_cloud, 2**63)
 
 
 def lexsort_tc(pc, block_edge, luma):
