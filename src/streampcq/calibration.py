@@ -23,6 +23,8 @@ __all__ = [
     "TRAINING_VARIANT",
     "TrainingRecord",
     "FitDiagnostics",
+    "TrainingColumns",
+    "StageAFits",
     "record_columns",
     "fit_line",
     "fit_quadratic",
@@ -57,6 +59,41 @@ class FitDiagnostics:
     stage_samples: dict = field(default_factory=dict)   # stage name -> n
     skipped_groups: list = field(default_factory=list)  # (stage, group key, reason)
     coefficients: dict = field(default_factory=dict)    # stage name -> tuple
+
+
+class _Columns:
+    """Read-only plain arrays of equal length, one per name in `__slots__`;
+    `cols[mask]` holds the rows a boolean mask selects.  (Not a dataclass: a
+    frozen one costs about a millisecond to define at import.)"""
+
+    __slots__ = ()
+
+    def __init__(self, *cols):
+        for name, col in zip(self.__slots__, cols, strict=True):
+            object.__setattr__(self, name, col)
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __len__(self):
+        return len(getattr(self, self.__slots__[0]))
+
+    def __getitem__(self, mask):
+        return type(self)(*(getattr(self, name)[mask] for name in self.__slots__))
+
+
+class TrainingColumns(_Columns):
+    """Training records as columns: one ndarray per field, one row per record."""
+
+    __slots__ = _FIELDS
+
+
+class StageAFits(_Columns):
+    """Stage A's fitted (content, pqs) groups: one ndarray per field."""
+
+    __slots__ = ("content", "pqs", "alpha", "beta")
 
 
 def read_training_csv(path) -> list:
@@ -102,26 +139,47 @@ def fit_quadratic(xs, ys):
 
 
 def record_columns(records):
-    """The fields of any iterable of records as the columns (`.content`, `.pqs`,
-    ...) of one record array, sorted by (content, pqs, qp, tbpp, mos) so that no
-    sum over a group's rows depends on record order.  A record array is taken to
-    be one this returned, or a boolean-mask subset of one, and is returned as is."""
-    if isinstance(records, np.recarray):
+    """The fields of any iterable of records as one TrainingColumns, sorted by
+    (content, pqs, qp, tbpp, mos) so that no sum over a group's rows depends
+    on record order.  A TrainingColumns is taken to be one this returned, or a
+    boolean-mask subset of one, and is returned as is."""
+    if isinstance(records, TrainingColumns):
         return records
     records = list(records)
-    cols = np.rec.fromarrays([np.array([getattr(r, k) for r in records]) for k in _FIELDS],
-                             names=_FIELDS)
-    return cols[np.lexsort((cols.mos, cols.tbpp, cols.qp, cols.pqs, cols.content))]
+    cols = [np.array([getattr(r, k) for r in records]) for k in _FIELDS]
+    content, pqs, qp, tbpp, _tc, mos = cols
+    order = np.lexsort((mos, tbpp, qp, pqs, content))
+    return TrainingColumns(*(c[order] for c in cols))
 
 
-def _fit_groups(stage, keys, x, y, diagnostics):
+def _runs(keys):
+    """(first row, group id of each row) of the groups of equal `keys` (a list
+    of columns) in rows sorted by them: each group is one run of rows."""
+    new = np.ones(len(keys[0]), dtype=bool)
+    new[1:] = np.logical_or.reduce([k[1:] != k[:-1] for k in keys])
+    return np.flatnonzero(new), np.cumsum(new) - 1
+
+
+def _cells(keys):
+    """(first row, group id of each row) of the groups of equal `keys` (a list
+    of columns) in any row order, numbered in key order."""
+    code = 0
+    for k in keys:
+        levels, inverse = np.unique(k, return_inverse=True)
+        code = code * len(levels) + inverse
+    _, first, g = np.unique(code, return_index=True, return_inverse=True)
+    return first, g
+
+
+def _fit_groups(stage, keys, groups, x, y, diagnostics):
     """fit_line within each group of equal `keys` (a list of columns), all at
-    once from per-group sums; returns the first row index, slope and intercept
-    of each fitted group, as arrays in key order.  Groups fit_line would refuse
-    go to `diagnostics` with its reason; so do the stage's RSS and sample count
-    over the fitted groups."""
-    # every group id in 0..len(uniq)-1 occurs in g, so each bincount has one sum per group
-    uniq, first, g = np.unique(np.rec.fromarrays(keys), return_index=True, return_inverse=True)
+    once from per-group sums; `groups` is (first row, group id of each row) as
+    _runs or _cells gives it.  Returns the first row index, slope and
+    intercept of each fitted group, as arrays in key order.  Groups fit_line
+    would refuse go to `diagnostics` with its reason; so do the stage's RSS
+    and sample count over the fitted groups."""
+    # every group id in 0..len(first)-1 occurs in g, so each bincount has one sum per group
+    first, g = groups
     n = np.bincount(g)
     xm, ym = np.bincount(g, x) / n, np.bincount(g, y) / n
     dx = x - xm[g]
@@ -135,8 +193,8 @@ def _fit_groups(stage, keys, x, y, diagnostics):
     diagnostics.stage_rss[stage] = float(np.bincount(g, r * r)[fitted].sum())
     diagnostics.stage_samples[stage] = int(n[fitted].sum())
     reasons = np.where(n < 2, "need at least two points", "all x values identical")[~fitted]
-    diagnostics.skipped_groups += zip([stage] * len(reasons), uniq[~fitted].tolist(),
-                                      reasons.tolist())
+    skipped = zip(*(k[first[~fitted]].tolist() for k in keys))
+    diagnostics.skipped_groups += zip([stage] * len(reasons), skipped, reasons.tolist())
     return first[fitted], slope[fitted], intercept[fitted]
 
 
@@ -158,17 +216,17 @@ def _fit_pooled(stage, xs, ys, diagnostics):
 def stage_a_mos_vs_tqs(records, diagnostics: FitDiagnostics | None = None):
     """Per (content, pqs) group, fit mos = alpha*tqs + beta.
 
-    Returns one record array of the fitted groups in (content, pqs) order,
-    with the columns `.content`, `.pqs`, `.alpha` and `.beta`; degenerate
-    groups are skipped and reported in diagnostics.
+    Returns one StageAFits of the fitted groups in (content, pqs) order, with
+    the arrays `.content`, `.pqs`, `.alpha` and `.beta`; degenerate groups are
+    skipped and reported in diagnostics.
     """
     cols = record_columns(records)
-    first, alpha, beta = _fit_groups("A", [cols.content, cols.pqs], tqs_from_qp(cols.qp),
+    keys = [cols.content, cols.pqs]  # sorted first by these, so each group is a run
+    first, alpha, beta = _fit_groups("A", keys, _runs(keys), tqs_from_qp(cols.qp),
                                      cols.mos, diagnostics or FitDiagnostics())
     if not len(first):
         raise DegenerateDesign("no (content, pqs) group could be fitted")
-    return np.rec.fromarrays([cols.content[first], cols.pqs[first], alpha, beta],
-                             names=("content", "pqs", "alpha", "beta"))
+    return StageAFits(cols.content[first], cols.pqs[first], alpha, beta)
 
 
 def stage_b_tc_model(records, diagnostics: FitDiagnostics | None = None):
@@ -176,7 +234,8 @@ def stage_b_tc_model(records, diagnostics: FitDiagnostics | None = None):
     diagnostics = diagnostics or FitDiagnostics()
     # (H_obs, J_obs) per (pqs, qp) cell, pooled across pqs below
     cols = record_columns(records)
-    first, h, j = _fit_groups("B", [cols.pqs, cols.qp], cols.tbpp, cols.tc, diagnostics)
+    keys = [cols.pqs, cols.qp]
+    first, h, j = _fit_groups("B", keys, _cells(keys), cols.tbpp, cols.tc, diagnostics)
     qps = cols.qp[first]
     if len(np.unique(qps)) < 3:
         raise DegenerateDesign("need cells at three or more distinct qp values")

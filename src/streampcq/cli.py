@@ -200,6 +200,7 @@ def cmd_significance(args) -> int:
     names = [Path(p).stem for p in args.residuals]
     residuals = [np.array([row.values[0] for row in read_table(p, {"residual": finite_float})])
                  for p in args.residuals]
+    ev.check_level(args.level)  # also when one file leaves no pair to test
     encode = {"row-better": "1", "equivalent": "0.5", "column-better": "0"}
     rows = []
     for i, ri in enumerate(residuals):

@@ -30,6 +30,7 @@ __all__ = [
     "evaluate",
     "loocv",
     "random_split_eval",
+    "check_level",
     "f_test",
     "f_quantile",
 ]
@@ -140,17 +141,20 @@ def _dot(u, v):
 
 def _project(s, y, b3, t):
     """Per start: (b1, b2, b3, b4) with the closed-form mid and half, the
-    mapping computed from those four numbers as fit_logistic reports it, tanh.
-    s and y are (panels, n), b3 and t (panels, starts)."""
+    mapping computed from those four numbers as fit_logistic reports it, tanh,
+    tanh less its mean, and the squared norm of that.  s and y are (panels,
+    n), b3 and t (panels, starts)."""
     b4 = 1.0 / t
     th = np.tanh(0.5 * (s[:, None] - b3[..., None]) / b4[..., None])
-    tc = th - th.mean(axis=-1, keepdims=True)
+    th_mean = th.mean(axis=-1)
+    tc = th - th_mean[..., None]
+    tcc = _dot(tc, tc)
     # one matrix-vector product per panel, as `tc @ y` rounds for a lone panel
-    half = np.matmul(tc, y[..., None])[..., 0] / _dot(tc, tc)
-    mid = y.mean(axis=-1, keepdims=True) - half * th.mean(axis=-1)
+    half = np.matmul(tc, y[..., None])[..., 0] / tcc
+    mid = y.mean(axis=-1, keepdims=True) - half * th_mean
     b1, b2 = mid + half, mid - half
     mapped = (0.5 * (b1 + b2))[..., None] + (0.5 * (b1 - b2))[..., None] * th
-    return np.stack([b1, b2, b3, b4], axis=-1), mapped, th
+    return np.stack([b1, b2, b3, b4], axis=-1), mapped, th, tc, tcc
 
 
 def _search(s, y, b3, t, rss_floor):
@@ -167,14 +171,14 @@ def _search(s, y, b3, t, rss_floor):
     best_params, best_converged = np.empty((len(s), 4)), np.empty(len(s), dtype=bool)
     live = np.arange(len(s))
     s_mean, y_range = s.mean(axis=-1, keepdims=True), np.ptp(y, axis=-1, keepdims=True)
-    params, mapped, th = _project(s, y, b3, t)
+    params, mapped, th, tc, tcc = _project(s, y, b3, t)
     rss, lams = np.square(y[:, None] - mapped).sum(axis=-1), np.full(t.shape + (2,), 1e-3)
     for trial in range(_MAX_TRIALS + 1):
         # d(residual)/d(b3, t) less its part in span(1, tanh); jt2 is the t
         # column less its part along the b3 column
-        r, tc = y[:, None] - mapped, th - th.mean(axis=-1, keepdims=True)
+        r = y[:, None] - mapped
         d = 0.5 * (params[..., :1] - params[..., 1:2]) * (1.0 - th * th)
-        jb, jt = (v - v.mean(axis=-1, keepdims=True) - tc * (_dot(tc, v) / _dot(tc, tc))[..., None]
+        jb, jt = (v - v.mean(axis=-1, keepdims=True) - tc * (_dot(tc, v) / tcc)[..., None]
                   for v in (0.5 * t[..., None] * d, -0.5 * (s[:, None] - b3[..., None]) * d))
         a, c, along = _dot(jb, jb), _dot(jt, jt), _dot(jb, jt) / _dot(jb, jb)
         jt2 = jt - along[..., None] * jb
@@ -208,16 +212,18 @@ def _search(s, y, b3, t, rss_floor):
         cand_rss = np.square(y[:, None] - cand[1]).sum(axis=-1)
         ok = (cand_rss < rss) & (np.abs(cand[0][..., 0] - cand[0][..., 1]) <= _MAX_SPREAD * y_range)
         b3, t, rss = np.where(ok, cand_b3, b3), np.where(ok, cand_t, t), np.where(ok, cand_rss, rss)
-        params, mapped, th = (np.where(ok[..., None], new, old)
-                              for new, old in zip(cand, (params, mapped, th)))
+        tcc = np.where(ok, cand[4], tcc)
+        params, mapped, th, tc = (np.where(ok[..., None], new, old)
+                                  for new, old in zip(cand, (params, mapped, th, tc)))
         lam = np.where(ok, lam / 3.0, lam * 10.0)
         lams[..., 0] = np.where(slide, lams[..., 0], lam)
         lams[..., 1] = np.where(slide, lam, lams[..., 1])
         if done.any():
             keep = ~done
-            live, s, y, s_mean, y_range, rss_floor, b3, t, rss, lams, params, mapped, th = (
-                v[keep] for v in (live, s, y, s_mean, y_range, rss_floor,
-                                  b3, t, rss, lams, params, mapped, th))
+            (live, s, y, s_mean, y_range, rss_floor, b3, t, rss, lams,
+             params, mapped, th, tc, tcc) = (v[keep] for v in (
+                live, s, y, s_mean, y_range, rss_floor, b3, t, rss, lams,
+                params, mapped, th, tc, tcc))
 
 
 def _check_panel(s):
@@ -403,10 +409,15 @@ def f_quantile(p: float, d1: int, d2: int) -> float:
     return d2 * z / (d1 * (1.0 - z))
 
 
-def f_test(residuals_a, residuals_b, level: float = 0.95) -> SignificanceVerdict:
-    """Two-tailed variance-ratio test; `a` is the row model."""
+def check_level(level: float):
+    """InvalidInput unless the confidence level is strictly between 0 and 1."""
     if not 0 < level < 1:  # nan too
         raise InvalidInput(f"level must be between 0 and 1, got {level}")
+
+
+def f_test(residuals_a, residuals_b, level: float = 0.95) -> SignificanceVerdict:
+    """Two-tailed variance-ratio test; `a` is the row model."""
+    check_level(level)
     a = np.asarray(residuals_a, dtype=float)
     b = np.asarray(residuals_b, dtype=float)
     if len(a) < 2 or len(b) < 2:

@@ -232,15 +232,23 @@ def test_train_full_takes_any_iterable():
     params, diag = train_full(noisy)
     again, again_diag = train_full(r for r in noisy)
     assert params_tuple(again) == params_tuple(params) and again_diag == diag
-    assert stage_a_mos_vs_tqs(iter(noisy)).tobytes() == stage_a_mos_vs_tqs(noisy).tobytes()
+    assert column_bytes(stage_a_mos_vs_tqs(iter(noisy))) == column_bytes(stage_a_mos_vs_tqs(noisy))
+
+
+def column_bytes(cols):
+    """Each column of a TrainingColumns or StageAFits as its dtype and bytes."""
+    return {k: (getattr(cols, k).dtype, getattr(cols, k).tobytes()) for k in type(cols).__slots__}
 
 
 def test_record_columns_sort_once_and_pass_record_arrays_through(synthetic_records):
     cols = cal.record_columns(synthetic_records)
     shuffled = list(synthetic_records)
     np.random.default_rng(5).shuffle(shuffled)
-    assert cal.record_columns(shuffled).tobytes() == cols.tobytes()
+    assert column_bytes(cal.record_columns(shuffled)) == column_bytes(cols)
+    assert all(type(getattr(cols, k)) is np.ndarray for k in cal._FIELDS)
     assert cal.record_columns(cols) is cols
+    with pytest.raises(AttributeError):
+        cols.qp = cols.qp[::-1]
     subset = cols[cols.qp != 28]
     assert cal.record_columns(subset) is subset
 
@@ -320,7 +328,8 @@ def grouped(stage, records):
         keys, x, y = [cols.content, cols.pqs], tqs_from_qp(cols.qp), cols.mos
     else:
         keys, x, y = [cols.pqs, cols.qp], cols.tbpp, cols.tc
-    first, slope, intercept = cal._fit_groups(stage, keys, x, y, diag)
+    groups = (cal._runs if stage == "A" else cal._cells)(keys)
+    first, slope, intercept = cal._fit_groups(stage, keys, groups, x, y, diag)
     group_keys = zip(*(k[first].tolist() for k in keys))
     return dict(zip(group_keys, zip(slope.tolist(), intercept.tolist()))), diag
 
@@ -362,8 +371,9 @@ def per_group_c_or_d(stage, records):
     and one fit_line; returns the stage's (coefficients, RSS, sample count)."""
     if len({r.pqs for r in records}) < 2 or len({r.qp for r in records}) < 2:
         raise DegenerateDesign("training data must span two pqs and two qp levels")
-    fits = {(content, pqs): (alpha, beta)
-            for content, pqs, alpha, beta in stage_a_mos_vs_tqs(records).tolist()}
+    out = stage_a_mos_vs_tqs(records)
+    fits = {(content, pqs): (alpha, beta) for content, pqs, alpha, beta
+            in zip(out.content.tolist(), out.pqs.tolist(), out.alpha.tolist(), out.beta.tolist())}
     if stage == "C":
         first_tc = {}
         for r in by_record_order(records):

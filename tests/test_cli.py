@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -290,6 +291,7 @@ def test_missing_input_file_is_an_error_line(tmp_path, capsys, argv):
     (["splits", "training.csv", "--seed", -1], "seed must be >= 0, got -1"),
     (["tc", "CLOUD", "--block-edge", 99999999999999999999],
      "CLOUD: block_edge must be <= 9223372036854775807, got 99999999999999999999"),
+    (["significance", "RESIDUALS", "--level", 5], "level must be between 0 and 1, got 5.0"),
 ])
 def test_bad_csv_or_option_is_one_error_line(tmp_path, capsys, argv, says):
     from streampcq.pointcloud import PointCloud, write_ply
@@ -582,6 +584,23 @@ def test_unconverged_fits_are_notes_on_stderr(tmp_path, capsys):
     assert capsys.readouterr().err.endswith(f" unconverged={summary['unconverged']}\n")
     assert run(["splits", clean, "--n", 6, "--seed", 1, "--out", out]) == 0
     assert capsys.readouterr().err.endswith(" unconverged=0\n")
+
+
+def test_train_notes_each_skipped_group_on_stderr(tmp_path, capsys):
+    records = make_synthetic_records(noise_sigma=0.5, rng=np.random.default_rng(3))
+    # one point in (content01, 0.25); one tqs twice in (content02, 0.5); one point in (1.0, 46)
+    kept = [r for r in records
+            if not (r.content == "content01" and r.pqs == 0.25 and r.qp != 22)
+            and not (r.content == "content02" and r.pqs == 0.5 and r.qp != 22)
+            and not (r.pqs == 1.0 and r.qp == 46 and r.content != "content00")]
+    twin = next(r for r in kept if r.content == "content02" and r.pqs == 0.5)
+    training = tmp_path / "training.csv"
+    write_training_csv(training, kept + [dataclasses.replace(twin, mos=twin.mos + 1.0)])
+    assert run(["train", training, "--out-params", tmp_path / "p.json"]) == 0
+    assert capsys.readouterr().err == (
+        "note: stage A skipped group ('content01', 0.25): need at least two points\n"
+        "note: stage A skipped group ('content02', 0.5): all x values identical\n"
+        "note: stage B skipped group (1.0, 46): need at least two points\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,4 +1,5 @@
-"""Every import and every module-level private name in the package is used.
+"""Every import and every module-level private name in the package is used,
+and no module builds numpy record arrays.
 Importing the CLI leaves scipy unloaded and numpy unexecuted: only `_lazy`
 imports numpy, and it runs at its first use, which `extract` and `synth`
 never reach."""
@@ -92,6 +93,21 @@ def test_only_the_table_module_imports_csv():
 def test_only_the_table_module_reads_or_writes_documents():
     # schema, params and sidecar files are parsed and written by table alone
     assert importers("json", "tomllib") == ["table.py"]
+
+
+def record_array_uses(path: Path) -> list:
+    """Where `path` names numpy's record arrays: `np.rec` or `recarray`."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [f"{path.name}:{n.lineno}" for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and n.attr in ("rec", "recarray")
+            or isinstance(n, ast.Name) and n.id == "recarray"
+            or isinstance(n, ast.alias) and n.name.split(".")[-1] in ("rec", "recarray")]
+
+
+def test_no_module_uses_record_arrays():
+    # every field access on a recarray runs Python-level numpy code; the
+    # calibration columns are plain arrays
+    assert [u for p in sorted(PACKAGE.glob("*.py")) for u in record_array_uses(p)] == []
 
 
 def names_numpy(node) -> bool:
