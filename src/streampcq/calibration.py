@@ -23,8 +23,6 @@ __all__ = [
     "TRAINING_VARIANT",
     "TrainingRecord",
     "FitDiagnostics",
-    "TrainingColumns",
-    "StageAFits",
     "record_columns",
     "fit_line",
     "fit_quadratic",
@@ -85,7 +83,9 @@ class _Columns:
 
 
 class TrainingColumns(_Columns):
-    """Training records as columns: one ndarray per field, one row per record."""
+    """Training records as columns: one ndarray per field, one row per record,
+    sorted by (content, pqs, qp, tbpp, mos); get one from `record_columns`, or
+    as a boolean-mask subset of one."""
 
     __slots__ = _FIELDS
 
@@ -152,34 +152,18 @@ def record_columns(records):
     return TrainingColumns(*(c[order] for c in cols))
 
 
-def _runs(keys):
-    """(first row, group id of each row) of the groups of equal `keys` (a list
-    of columns) in rows sorted by them: each group is one run of rows."""
-    new = np.ones(len(keys[0]), dtype=bool)
-    new[1:] = np.logical_or.reduce([k[1:] != k[:-1] for k in keys])
-    return np.flatnonzero(new), np.cumsum(new) - 1
-
-
-def _cells(keys):
-    """(first row, group id of each row) of the groups of equal `keys` (a list
-    of columns) in any row order, numbered in key order."""
-    code = 0
+def _fit_groups(stage, keys, x, y, diagnostics):
+    """fit_line within each group of equal `keys` (a list of columns), all at
+    once from per-group sums; returns the first row index, slope and intercept
+    of each fitted group, as arrays in key order.  Groups fit_line would refuse
+    go to `diagnostics` with its reason; so do the stage's RSS and sample count
+    over the fitted groups."""
+    code = 0  # one int64 per row, ordered as its keys are
     for k in keys:
         levels, inverse = np.unique(k, return_inverse=True)
         code = code * len(levels) + inverse
-    _, first, g = np.unique(code, return_index=True, return_inverse=True)
-    return first, g
-
-
-def _fit_groups(stage, keys, groups, x, y, diagnostics):
-    """fit_line within each group of equal `keys` (a list of columns), all at
-    once from per-group sums; `groups` is (first row, group id of each row) as
-    _runs or _cells gives it.  Returns the first row index, slope and
-    intercept of each fitted group, as arrays in key order.  Groups fit_line
-    would refuse go to `diagnostics` with its reason; so do the stage's RSS
-    and sample count over the fitted groups."""
     # every group id in 0..len(first)-1 occurs in g, so each bincount has one sum per group
-    first, g = groups
+    _, first, g = np.unique(code, return_index=True, return_inverse=True)
     n = np.bincount(g)
     xm, ym = np.bincount(g, x) / n, np.bincount(g, y) / n
     dx = x - xm[g]
@@ -221,8 +205,7 @@ def stage_a_mos_vs_tqs(records, diagnostics: FitDiagnostics | None = None):
     skipped and reported in diagnostics.
     """
     cols = record_columns(records)
-    keys = [cols.content, cols.pqs]  # sorted first by these, so each group is a run
-    first, alpha, beta = _fit_groups("A", keys, _runs(keys), tqs_from_qp(cols.qp),
+    first, alpha, beta = _fit_groups("A", [cols.content, cols.pqs], tqs_from_qp(cols.qp),
                                      cols.mos, diagnostics or FitDiagnostics())
     if not len(first):
         raise DegenerateDesign("no (content, pqs) group could be fitted")
@@ -234,8 +217,7 @@ def stage_b_tc_model(records, diagnostics: FitDiagnostics | None = None):
     diagnostics = diagnostics or FitDiagnostics()
     # (H_obs, J_obs) per (pqs, qp) cell, pooled across pqs below
     cols = record_columns(records)
-    keys = [cols.pqs, cols.qp]
-    first, h, j = _fit_groups("B", keys, _cells(keys), cols.tbpp, cols.tc, diagnostics)
+    first, h, j = _fit_groups("B", [cols.pqs, cols.qp], cols.tbpp, cols.tc, diagnostics)
     qps = cols.qp[first]
     if len(np.unique(qps)) < 3:
         raise DegenerateDesign("need cells at three or more distinct qp values")

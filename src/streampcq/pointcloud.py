@@ -127,38 +127,28 @@ def read_ply(path) -> PointCloud:
         if len(body) < vertex_count * dtype.itemsize:
             raise MalformedHeader("binary body shorter than declared")
         rec = np.frombuffer(body, dtype=dtype, count=vertex_count)
-        cols = {name: rec[name] for name, _, _ in props}
+        cols = {name: rec[name].astype(float) for name, _, _ in props}
 
-    positions = _whole_numbers({a: cols[a] for a in ("x", "y", "z")}, np.int32,
-                               "an int32 voxel coordinate", _round_half_away)
+    positions = _whole_numbers({a: _round_half_away(cols[a]) for a in ("x", "y", "z")},
+                               np.int32, "an int32 voxel coordinate")
     colors = _whole_numbers({a: cols[a] for a in ("red", "green", "blue")},
                             np.uint8, "a colour in 0..255")
     return PointCloud(positions, colors)
 
 
-def _whole_numbers(cols, dtype, what, rounding=None):
-    """The columns of the dict `cols` side by side, as one array of `dtype`.  A
-    column of a type that `dtype` holds is cast as it is.  Any other is read as
-    float and put through `rounding`, if given; a value `dtype` cannot hold
-    exactly, such as NaN or one out of its range, fails the file rather than
-    wrapping round (the lowest vertex first, then the first column)."""
-    out = np.empty((len(next(iter(cols.values()))), len(cols)), dtype)
-    values = {}
-    for k, col in enumerate(cols.values()):
-        if np.can_cast(col.dtype, dtype):  # no value can fail
-            out[:, k] = col
-            continue
-        values[k] = col.astype(float) if rounding is None else rounding(col.astype(float))
-        with np.errstate(invalid="ignore"):  # NaN and values out of range, refused below
-            out[:, k] = values[k]
-    # a cast that changed a value: no value of dtype equals it
-    bad = [(int(np.argmax(b)), k) for k, b in ((k, out[:, k] != v) for k, v in values.items())
-           if b.any()]
-    if bad:
-        point, k = min(bad)
+def _whole_numbers(cols, dtype, what):
+    """The columns of the dict `cols` side by side, as one array of `dtype`; a
+    value it cannot hold exactly, such as NaN or one out of its range, fails
+    the file rather than wrapping round."""
+    values = np.stack(list(cols.values()), axis=1)
+    with np.errstate(invalid="ignore"):  # NaN and values out of range, refused below
+        cast = values.astype(dtype)
+    bad = cast != values  # a cast that changed a value: no value of dtype equals it
+    if bad.any():
+        point, k = np.argwhere(bad)[0]
         raise UnsupportedPly(f"property {list(cols)[k]!r} of vertex {point} holds "
-                             f"{float(values[k][point])!r}, not {what}")
-    return out
+                             f"{float(values[point, k])!r}, not {what}")
+    return cast
 
 
 def write_ply(path, pc: PointCloud, binary: bool = False):

@@ -328,8 +328,7 @@ def grouped(stage, records):
         keys, x, y = [cols.content, cols.pqs], tqs_from_qp(cols.qp), cols.mos
     else:
         keys, x, y = [cols.pqs, cols.qp], cols.tbpp, cols.tc
-    groups = (cal._runs if stage == "A" else cal._cells)(keys)
-    first, slope, intercept = cal._fit_groups(stage, keys, groups, x, y, diag)
+    first, slope, intercept = cal._fit_groups(stage, keys, x, y, diag)
     group_keys = zip(*(k[first].tolist() for k in keys))
     return dict(zip(group_keys, zip(slope.tolist(), intercept.tolist()))), diag
 

@@ -159,24 +159,6 @@ def test_binary_values_that_would_wrap_are_refused(tmp_path, types, row, says):
             read_ply(p)
 
 
-def test_binary_integer_properties_keep_their_extremes(tmp_path):
-    # int, short and ushort coordinates and uchar colours are cast as they are;
-    # a ushort colour goes through the checked path and still reads in range
-    names = ("x", "y", "z", "red", "green", "blue")
-    types = ("<i4", "<i2", "<u2", "u1", "u1", "<u2")
-    ply_types = {"<i4": "int", "<i2": "short", "<u2": "ushort", "u1": "uchar"}
-    rows = [(-2**31, -2**15, 0, 0, 0, 0), (2**31 - 1, 2**15 - 1, 2**16 - 1, 255, 7, 255)]
-    rec = np.array(rows, dtype=list(zip(names, types)))
-    p = tmp_path / "ints.ply"
-    p.write_bytes(("ply\nformat binary_little_endian 1.0\nelement vertex 2\n"
-                   + "".join(f"property {ply_types[t]} {a}\n" for a, t in zip(names, types))
-                   + "end_header\n").encode("ascii") + rec.tobytes())
-    pc = read_ply(p)
-    assert (pc.positions.dtype, pc.colors.dtype) == (np.int32, np.uint8)
-    assert pc.positions.tolist() == [list(r[:3]) for r in rows]
-    assert pc.colors.tolist() == [list(r[3:]) for r in rows]
-
-
 # ---------------------------------------------------------------------------
 # Luma
 
