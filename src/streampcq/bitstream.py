@@ -25,12 +25,11 @@ from .errors import (
     InvalidSchema,
     InvalidSidecar,
     MissingField,
-    NonPositivePqs,
     TruncatedUnit,
     UnrepresentableField,
     ZeroPointCount,
 )
-from .model import check_qp
+from .model import check_pqs_qp
 from .table import read_document, write_document
 
 __all__ = [
@@ -62,7 +61,7 @@ def _require(ok, message):
 
 
 def _positive_int(v) -> bool:
-    return isinstance(v, int) and v > 0
+    return isinstance(v, int) and not isinstance(v, bool) and v > 0  # JSON true is no int
 
 
 # An Exp-Golomb ue(v)/se(v) codeword with more leading zero bits than this is
@@ -126,11 +125,11 @@ class SyntaxSchema:
                  and self.length_endian in ("big", "little"),
                  "framing needs positive integer type_bytes and length_bytes and a "
                  "length_endian of 'big' or 'little'")
-        _require(all(isinstance(c, int) for c in self.unit_codes.values()),
-                 "unit codes must be integers")
-
-    def code_for(self, unit_class: str) -> int:
-        return self.unit_codes[unit_class]
+        _require(all(isinstance(c, int) and not isinstance(c, bool)
+                     for c in self.unit_codes.values()), "unit codes must be integers")
+        # extraction and synthesis divide the pqs field alone
+        _require(all(t.divisor == 1 for feat, t in self.targets.items() if feat != "pqs"),
+                 "only the pqs target takes a divisor")
 
     @functools.cached_property
     def _plan(self) -> tuple:
@@ -245,10 +244,6 @@ class BitReader:
     def __init__(self, data: bytes):
         self.data = data
         self.pos = 0  # bit position
-
-    @property
-    def bits_consumed(self) -> int:
-        return self.pos
 
     @property
     def bits_left(self) -> int:
@@ -427,11 +422,7 @@ class BitstreamFeatures:
     point_count_source: str = "slice-header"  # slice-header | sidecar | decoded-cloud
 
     def validate(self):
-        if self.pqs <= 0:
-            raise NonPositivePqs(f"pqs must be positive, got {self.pqs}")
-        if not math.isfinite(self.pqs):
-            raise InvalidFeature(f"pqs must be finite, got {self.pqs}")
-        check_qp(self.qp)
+        check_pqs_qp(self.pqs, self.qp)
         if self.texture_bits < 0:
             raise InvalidFeature(f"texture_bits must not be negative, got {self.texture_bits}")
         if self.point_count <= 0:
@@ -501,8 +492,8 @@ def extract_features(
     Only TLV headers and declared header prefixes are read; attribute and
     geometry payload bodies contribute length information alone.  `sidecar`
     supplies fallbacks for any target the schema cannot locate.  `trace`,
-    when given, collects (unit_class, bits_consumed, payload_bits) per parsed
-    unit.
+    when given, collects (unit_class, header bits decoded, payload bits) per
+    parsed unit.
     """
     schema = schema or _DEFAULT_SCHEMA
     sidecar = sidecar or {}
@@ -529,7 +520,7 @@ def extract_features(
             reader = BitReader(head)
             fields = parse_header(head, path, reader=reader)
             if trace is not None:
-                trace.append((unit_class, reader.bits_consumed, 8 * length))
+                trace.append((unit_class, reader.pos, 8 * length))
             if all(fields.get(k) == v for k, v in where):
                 yield fields[name]
 
@@ -625,17 +616,17 @@ def synthesize_bitstream(
         return w.getvalue()
 
     units = [
-        TlvUnit(schema.code_for("sequence_params"), build_header("sequence_params")),
-        TlvUnit(schema.code_for("geometry_params"), build_header("geometry_params") or b"\x00"),
-        TlvUnit(schema.code_for("attribute_params"), build_header("attribute_params")),
+        TlvUnit(schema.unit_codes["sequence_params"], build_header("sequence_params")),
+        TlvUnit(schema.unit_codes["geometry_params"], build_header("geometry_params") or b"\x00"),
+        TlvUnit(schema.unit_codes["attribute_params"], build_header("attribute_params")),
         TlvUnit(
-            schema.code_for("geometry_data"),
+            schema.unit_codes["geometry_data"],
             build_header("geometry_data") + _PAYLOAD_FILL * 4,
         ),
     ]
 
     nbytes = features.texture_bits // 8
-    attr_code = schema.code_for("attribute_data")
+    attr_code = schema.unit_codes["attribute_data"]
     if nbytes >= 2:  # split across two units so extraction sums lengths
         units.append(TlvUnit(attr_code, _PAYLOAD_FILL * (nbytes // 2)))
         units.append(TlvUnit(attr_code, _PAYLOAD_FILL * (nbytes - nbytes // 2)))

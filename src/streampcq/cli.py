@@ -25,14 +25,13 @@ from . import bitstream as bs
 from . import calibration as cal
 from . import evaluation as ev
 from . import pointcloud as pcio
-from .errors import DegenerateDesign, InvalidInput, NonPositivePqs, StreamPcqError
-from .model import ModelParams, VARIANTS, check_qp, predict
+from .errors import DegenerateDesign, InvalidInput, StreamPcqError
+from .model import ModelParams, VARIANTS, check_pqs_qp, predict
 from .table import finite_float, read_table, write_document, write_table
 
 
 def _load_schema(path):
-    path = path or os.environ.get("STREAMPCQ_SCHEMA")
-    if path is None:
+    if not path:
         return None  # bitstream's default schema, whose extraction plan is built once
     if not Path(path).exists():
         print(f"error: schema file not found: {path}", file=sys.stderr)
@@ -82,9 +81,7 @@ def cmd_score(args) -> int:
     for i, row in enumerate(read_table(args.features, kinds)):
         try:
             pqs, qp, tbpp = row.values
-            if pqs <= 0:
-                raise NonPositivePqs(f"pqs must be positive, got {pqs}")
-            check_qp(qp)
+            check_pqs_qp(pqs, qp)
         except StreamPcqError as exc:
             failures.append((i, str(exc)))
             continue

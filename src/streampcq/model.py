@@ -14,6 +14,7 @@ Every function takes scalars or numpy arrays alike.
 
 from __future__ import annotations
 
+import math
 import numbers
 import sys
 from dataclasses import dataclass, asdict, fields
@@ -27,6 +28,7 @@ __all__ = [
     "VARIANTS",
     "QP_MAX",
     "check_qp",
+    "check_pqs_qp",
     "ModelParams",
     "QualityPrediction",
     "tqs_from_qp",
@@ -34,7 +36,6 @@ __all__ = [
     "j_of_qp",
     "estimate_tc",
     "alpha_from_tc",
-    "pmos_t",
     "pmos_g",
     "predict",
 ]
@@ -64,10 +65,13 @@ class ModelParams:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise InvalidParams(f"unknown variant {self.variant!r}")
-        bad = [f.name for f in fields(self)
-               if f.name != "variant" and not isinstance(getattr(self, f.name), numbers.Real)]
+        # JSON true is no number; NaN, an infinity and an int past the float range
+        # all fail the bound (math.isfinite would raise on that int)
+        bad = [f.name for f in fields(self) if f.name != "variant" and (
+            isinstance(v := getattr(self, f.name), bool) or not isinstance(v, numbers.Real)
+            or not abs(v) <= sys.float_info.max)]
         if bad:
-            raise InvalidParams(f"coefficients must be numbers: {', '.join(bad)}")
+            raise InvalidParams(f"coefficients must be finite numbers: {', '.join(bad)}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -118,6 +122,16 @@ def check_qp(qp):
         raise InvalidFeature(f"qp must be from 0 to {QP_MAX}, got {qp}")
 
 
+def check_pqs_qp(pqs, qp):
+    """NonPositivePqs unless pqs > 0, then InvalidFeature unless pqs is finite
+    and `check_qp(qp)` passes: the coding parameters of one stream."""
+    if pqs <= 0:
+        raise NonPositivePqs(f"pqs must be positive, got {pqs}")
+    if not math.isfinite(pqs):
+        raise InvalidFeature(f"pqs must be finite, got {pqs}")
+    check_qp(qp)
+
+
 def h_of_qp(p: ModelParams, qp) -> float:
     return p.a1 * qp * qp + p.a2 * qp + p.a3
 
@@ -133,11 +147,6 @@ def estimate_tc(p: ModelParams, qp, tbpp) -> float:
 
 def alpha_from_tc(p: ModelParams, tc) -> float:
     return p.c * tc + p.d
-
-
-def pmos_t(p: ModelParams, qp, tbpp) -> float:
-    """Texture term: alpha scaled by the quantization step."""
-    return alpha_from_tc(p, estimate_tc(p, qp, tbpp)) * tqs_from_qp(qp)
 
 
 def pmos_g(p: ModelParams, pqs) -> float:

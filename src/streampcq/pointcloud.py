@@ -74,7 +74,7 @@ def read_ply(path) -> PointCloud:
     if not data.startswith(b"ply") or end < 0 or nl < 0:
         raise MalformedHeader(f"{path}: not a PLY file")
     header = data[: nl].decode("ascii", errors="replace")
-    body = data[nl + 1 :]
+    body = memoryview(data)[nl + 1 :]  # read in place, not copied
 
     fmt = None
     vertex_count = None
@@ -114,7 +114,7 @@ def read_ply(path) -> PointCloud:
     if fmt == "ascii":
         ncol = len(props)
         try:
-            rows = body.decode("ascii").split()
+            rows = str(body, "ascii").split()
             arr = np.array(rows[: vertex_count * ncol], dtype=float)
         except ValueError as exc:  # not ASCII, or a value that is not a number
             raise MalformedHeader(f"ASCII body: {exc}") from None

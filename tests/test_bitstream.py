@@ -82,7 +82,7 @@ def test_read_se_signed_mapping():
 def test_read_bits_advances_position():
     r = bs.BitReader(bits("0101 0101"))
     assert r.read_bits(4) == 5
-    assert r.bits_consumed == 4
+    assert r.pos == 4
 
 
 def test_read_exhausted():
@@ -180,7 +180,7 @@ def test_bit_io_matches_bit_string_reference(pad, fields, last_ue):
     for kind, n, v in fields:
         got = r.read_bits(n) if kind == "u" else r.read_ue() if kind == "ue" else r.read_se()
         assert got == v
-    assert r.bits_consumed == len(ref)
+    assert r.pos == len(ref)
     assert r.read_bits(r.bits_left) == 0  # the zero padding of the last byte
     with pytest.raises(BitstreamExhausted):
         r.read_bits(1)
@@ -229,14 +229,14 @@ def test_roundtrip_example():
 def test_synthesize_payload_size():
     data = bs.synthesize_bitstream(feats(1.0, 22, 800, 100), SCHEMA)
     units = bs.read_tlv_units(data, SCHEMA)
-    attr = [u for u in units if u.unit_type == SCHEMA.code_for("attribute_data")]
+    attr = [u for u in units if u.unit_type == SCHEMA.unit_codes["attribute_data"]]
     assert sum(len(u.payload) for u in attr) == 100
 
 
 def test_missing_texture_bits():
     data = bs.synthesize_bitstream(feats(1.0, 22, 800, 100), SCHEMA)
     units = [u for u in bs.read_tlv_units(data, SCHEMA)
-             if u.unit_type != SCHEMA.code_for("attribute_data")]
+             if u.unit_type != SCHEMA.unit_codes["attribute_data"]]
     with pytest.raises(MissingField) as ei:
         bs.extract_features(bs.write_tlv_units(units, SCHEMA), SCHEMA)
     assert ei.value.name == "texture_bits"
@@ -246,7 +246,7 @@ def test_sidecar_point_count():
     data = bs.synthesize_bitstream(feats(1.0, 22, 800, 100), SCHEMA)
     # drop the geometry-data unit so the slice header cannot provide the count
     units = [u for u in bs.read_tlv_units(data, SCHEMA)
-             if u.unit_type != SCHEMA.code_for("geometry_data")]
+             if u.unit_type != SCHEMA.unit_codes["geometry_data"]]
     got = bs.extract_features(bs.write_tlv_units(units, SCHEMA), SCHEMA,
                               sidecar={"point_count": 716659})
     assert got.point_count == 716659
@@ -256,7 +256,7 @@ def test_sidecar_point_count():
 def test_decoded_cloud_fallback():
     data = bs.synthesize_bitstream(feats(1.0, 22, 800, 100), SCHEMA)
     units = [u for u in bs.read_tlv_units(data, SCHEMA)
-             if u.unit_type != SCHEMA.code_for("geometry_data")]
+             if u.unit_type != SCHEMA.unit_codes["geometry_data"]]
     got = bs.extract_features(bs.write_tlv_units(units, SCHEMA), SCHEMA,
                               decoded_point_count=42)
     assert got.point_count_source == "decoded-cloud"
@@ -270,7 +270,7 @@ def test_decoded_cloud_fallback():
 def test_feature_falls_back_to_sidecar(dropped, name, sidecar_value):
     data = bs.synthesize_bitstream(feats(1.0, 22, 800, 100), SCHEMA)
     units = [u for u in bs.read_tlv_units(data, SCHEMA)
-             if u.unit_type != SCHEMA.code_for(dropped)]
+             if u.unit_type != SCHEMA.unit_codes[dropped]]
     stream = bs.write_tlv_units(units, SCHEMA)
     got = bs.extract_features(stream, SCHEMA, sidecar={name: sidecar_value})
     assert getattr(got, name) == sidecar_value
@@ -298,16 +298,16 @@ def header(unit_class, **values):
 
 
 def test_two_slice_point_count_is_summed():
-    code = SCHEMA.code_for
+    code = SCHEMA.unit_codes
     data = bs.write_tlv_units([
-        bs.TlvUnit(code("sequence_params"), header("sequence_params", geom_scale_num=2)),
-        bs.TlvUnit(code("attribute_params"), header("attribute_params", attr_initial_qp=34)),
-        bs.TlvUnit(code("geometry_data"), header("geometry_data", slice_id=0,
+        bs.TlvUnit(code["sequence_params"], header("sequence_params", geom_scale_num=2)),
+        bs.TlvUnit(code["attribute_params"], header("attribute_params", attr_initial_qp=34)),
+        bs.TlvUnit(code["geometry_data"], header("geometry_data", slice_id=0,
                                                  slice_point_count=1000) + bytes(4)),
-        bs.TlvUnit(code("attribute_data"), bytes(100)),
-        bs.TlvUnit(code("geometry_data"), header("geometry_data", slice_id=1,
+        bs.TlvUnit(code["attribute_data"], bytes(100)),
+        bs.TlvUnit(code["geometry_data"], header("geometry_data", slice_id=1,
                                                  slice_point_count=1000) + bytes(4)),
-        bs.TlvUnit(code("attribute_data"), bytes(150)),
+        bs.TlvUnit(code["attribute_data"], bytes(150)),
     ], SCHEMA)
     got = bs.extract_features(data, SCHEMA)
     assert got == feats(0.25, 34, 2000, 2000)
@@ -315,11 +315,11 @@ def test_two_slice_point_count_is_summed():
 
 def test_zero_geometry_scale_rejected():
     data = bs.write_tlv_units([
-        bs.TlvUnit(SCHEMA.code_for("sequence_params"), header("sequence_params")),
-        bs.TlvUnit(SCHEMA.code_for("attribute_params"), header("attribute_params")),
-        bs.TlvUnit(SCHEMA.code_for("geometry_data"),
+        bs.TlvUnit(SCHEMA.unit_codes["sequence_params"], header("sequence_params")),
+        bs.TlvUnit(SCHEMA.unit_codes["attribute_params"], header("attribute_params")),
+        bs.TlvUnit(SCHEMA.unit_codes["geometry_data"],
                    header("geometry_data", slice_point_count=10)),
-        bs.TlvUnit(SCHEMA.code_for("attribute_data"), bytes(10)),
+        bs.TlvUnit(SCHEMA.unit_codes["attribute_data"], bytes(10)),
     ], SCHEMA)
     with pytest.raises(NonPositivePqs):
         bs.extract_features(data, SCHEMA)
@@ -328,13 +328,13 @@ def test_zero_geometry_scale_rejected():
 
 
 def test_zero_point_count_rejected_from_stream_and_sidecar():
-    code = SCHEMA.code_for
+    code = SCHEMA.unit_codes
     units = [
-        bs.TlvUnit(code("sequence_params"), header("sequence_params", geom_scale_num=8)),
-        bs.TlvUnit(code("attribute_params"), header("attribute_params", attr_initial_qp=34)),
-        bs.TlvUnit(code("attribute_data"), bytes(10)),
+        bs.TlvUnit(code["sequence_params"], header("sequence_params", geom_scale_num=8)),
+        bs.TlvUnit(code["attribute_params"], header("attribute_params", attr_initial_qp=34)),
+        bs.TlvUnit(code["attribute_data"], bytes(10)),
     ]
-    empty_slice = bs.TlvUnit(code("geometry_data"), header("geometry_data", slice_point_count=0))
+    empty_slice = bs.TlvUnit(code["geometry_data"], header("geometry_data", slice_point_count=0))
     with pytest.raises(ZeroPointCount):
         bs.extract_features(bs.write_tlv_units(units + [empty_slice], SCHEMA), SCHEMA)
     with pytest.raises(ZeroPointCount):
@@ -460,14 +460,14 @@ attr_label = 0
 
 
 def colour_and_reflectance_stream(attribute_params):
-    code = SCHEMA.code_for
+    code = SCHEMA.unit_codes
     return bs.write_tlv_units([
-        bs.TlvUnit(code("sequence_params"), header("sequence_params", geom_scale_num=8)),
-        *(bs.TlvUnit(code("attribute_params"), header("attribute_params", attr_label=label,
+        bs.TlvUnit(code["sequence_params"], header("sequence_params", geom_scale_num=8)),
+        *(bs.TlvUnit(code["attribute_params"], header("attribute_params", attr_label=label,
                                                       attr_initial_qp=qp))
           for label, qp in attribute_params),
-        bs.TlvUnit(code("geometry_data"), header("geometry_data", slice_point_count=100)),
-        bs.TlvUnit(code("attribute_data"), bytes(100)),
+        bs.TlvUnit(code["geometry_data"], header("geometry_data", slice_point_count=100)),
+        bs.TlvUnit(code["attribute_data"], bytes(100)),
     ], SCHEMA)
 
 
@@ -575,6 +575,8 @@ def test_toml_sidecar_loads_like_its_json_twin(tmp_path):
     ("s.json", '{"targets": {"qp": {"unit_class": "a", "field": "b", "where": 3}}}'),
     ("s.toml", "framing = 3"),
     ("s.toml", "[framing"),
+    ("s.json", '{"framing": {"type_bytes": true}}'),
+    ("s.json", '{"targets": {"qp": {"unit_class": "a", "field": "b", "divisor": 2}}}'),
 ])
 def test_malformed_schema_file_fails_typed(tmp_path, name, text):
     path = tmp_path / name
@@ -688,17 +690,17 @@ def rchar() -> int:
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/io"), reason="needs /proc/self/io")
 def test_extraction_from_a_path_skips_payload_bodies(tmp_path):
-    code = SCHEMA.code_for
+    code = SCHEMA.unit_codes
     mib = 1 << 20
     data = bs.write_tlv_units([
-        bs.TlvUnit(code("sequence_params"), header("sequence_params", geom_scale_num=4)),
-        bs.TlvUnit(code("attribute_params"), header("attribute_params", attr_initial_qp=34)),
-        bs.TlvUnit(code("geometry_data"), header("geometry_data", slice_point_count=10**6)
+        bs.TlvUnit(code["sequence_params"], header("sequence_params", geom_scale_num=4)),
+        bs.TlvUnit(code["attribute_params"], header("attribute_params", attr_initial_qp=34)),
+        bs.TlvUnit(code["geometry_data"], header("geometry_data", slice_point_count=10**6)
                    + bytes(3 * mib)),
-        bs.TlvUnit(code("attribute_data"), bytes(4 * mib)),
-        bs.TlvUnit(code("geometry_data"), header("geometry_data", slice_id=1,
+        bs.TlvUnit(code["attribute_data"], bytes(4 * mib)),
+        bs.TlvUnit(code["geometry_data"], header("geometry_data", slice_id=1,
                                                  slice_point_count=10**6) + bytes(2 * mib)),
-        bs.TlvUnit(code("attribute_data"), bytes(5 * mib)),
+        bs.TlvUnit(code["attribute_data"], bytes(5 * mib)),
     ], SCHEMA)
     path = tmp_path / "big.bin"
     path.write_bytes(data)
@@ -719,13 +721,13 @@ def test_longest_ue_decodes_the_same_from_a_path(stream_file):
     # 32 leading zeros: two 65-bit codewords fill the geometry_data prefix
     # exactly, and the body goes on past it
     longest = 2**33 - 2
-    code = SCHEMA.code_for
+    code = SCHEMA.unit_codes
     units = [
-        bs.TlvUnit(code("sequence_params"), header("sequence_params", geom_scale_num=longest)),
-        bs.TlvUnit(code("attribute_params"), header("attribute_params", attr_initial_qp=34)),
-        bs.TlvUnit(code("geometry_data"), header("geometry_data", slice_id=longest,
+        bs.TlvUnit(code["sequence_params"], header("sequence_params", geom_scale_num=longest)),
+        bs.TlvUnit(code["attribute_params"], header("attribute_params", attr_initial_qp=34)),
+        bs.TlvUnit(code["geometry_data"], header("geometry_data", slice_id=longest,
                                                  slice_point_count=longest) + b"\xff" * 64),
-        bs.TlvUnit(code("attribute_data"), bytes(100)),
+        bs.TlvUnit(code["attribute_data"], bytes(100)),
     ]
     assert len(header("geometry_data", slice_id=longest, slice_point_count=longest)) == 17
     trace = []
@@ -734,7 +736,7 @@ def test_longest_ue_decodes_the_same_from_a_path(stream_file):
     assert got == feats(longest / 8, 34, 800, longest)
     assert ("geometry_data", 130, 8 * (17 + 64)) in trace
     # one more leading zero is rejected the same way through both forms
-    units[2] = bs.TlvUnit(code("geometry_data"), bytes(4) + b"\x40" + b"\xff" * 64)
+    units[2] = bs.TlvUnit(code["geometry_data"], bytes(4) + b"\x40" + b"\xff" * 64)
     with pytest.raises(UnrepresentableField):
         extract_both_ways(bs.write_tlv_units(units, SCHEMA), stream_file, SCHEMA)
 
@@ -748,17 +750,17 @@ def test_extraction_reads_a_stream_from_a_pipe():
 
 @pytest.mark.skipif(not PIPES, reason="needs /dev/fd")
 def test_a_large_piped_stream_is_read_in_bounded_memory():
-    code = SCHEMA.code_for
+    code = SCHEMA.unit_codes
     mib = 1 << 20
     data = bs.write_tlv_units([
-        bs.TlvUnit(code("sequence_params"), header("sequence_params", geom_scale_num=2)),
-        bs.TlvUnit(code("attribute_params"), header("attribute_params", attr_initial_qp=40)),
-        bs.TlvUnit(code("geometry_data"), header("geometry_data", slice_point_count=7000)
+        bs.TlvUnit(code["sequence_params"], header("sequence_params", geom_scale_num=2)),
+        bs.TlvUnit(code["attribute_params"], header("attribute_params", attr_initial_qp=40)),
+        bs.TlvUnit(code["geometry_data"], header("geometry_data", slice_point_count=7000)
                    + bytes(mib)),
-        bs.TlvUnit(code("attribute_data"), bytes(2 * mib)),
-        bs.TlvUnit(code("geometry_data"), header("geometry_data", slice_id=1,
+        bs.TlvUnit(code["attribute_data"], bytes(2 * mib)),
+        bs.TlvUnit(code["geometry_data"], header("geometry_data", slice_id=1,
                                                  slice_point_count=5000) + bytes(mib)),
-        bs.TlvUnit(code("attribute_data"), bytes(2 * mib + 3)),
+        bs.TlvUnit(code["attribute_data"], bytes(2 * mib + 3)),
     ], SCHEMA)
     uneven = (1, 4093, 65537, 300001, 7)  # write sizes, across the 64 KiB pipe buffer
     with piped(data, uneven) as path:
@@ -782,9 +784,9 @@ def test_a_large_piped_stream_is_read_in_bounded_memory():
 
 def test_units_no_target_reads_are_not_kept(tmp_path):
     # 1 MB of empty 5-byte units of the two classes that no target reads
-    code = SCHEMA.code_for
+    code = SCHEMA.unit_codes
     f = feats(0.5, 28, 8 * 300, 50)
-    empty = [bs.TlvUnit(code(c), b"") for c in ("geometry_params", "attribute_data")]
+    empty = [bs.TlvUnit(code[c], b"") for c in ("geometry_params", "attribute_data")]
     synth = bs.synthesize_bitstream(f, SCHEMA)
     data = synth + bs.write_tlv_units(empty * 100_000, SCHEMA)
     path = tmp_path / "many-units.bin"

@@ -61,7 +61,7 @@ def test_extract_sidecar_only_point_count(tmp_path):
     from streampcq import bitstream as bs
     schema = bs.default_schema()
     units = [u for u in bs.read_tlv_units(stream.read_bytes(), schema)
-             if u.unit_type != schema.code_for("geometry_data")]
+             if u.unit_type != schema.unit_codes["geometry_data"]]
     stream.write_bytes(bs.write_tlv_units(units, schema))
     out = tmp_path / "features.csv"
     assert run(["extract", stream, "--out", out]) == 0
@@ -70,10 +70,9 @@ def test_extract_sidecar_only_point_count(tmp_path):
 
 
 def test_synth_and_extract_share_the_default_schema(tmp_path, monkeypatch):
-    # with neither --schema nor STREAMPCQ_SCHEMA, bitstream's one default schema
-    # is used, so its extraction plan is not built again for each command
+    # without --schema, bitstream's one default schema is used, so its
+    # extraction plan is not built again for each command
     from streampcq import bitstream as bs
-    monkeypatch.delenv("STREAMPCQ_SCHEMA", raising=False)
     monkeypatch.setattr(bs, "default_schema", None)  # a call would raise TypeError
     stream, out = tmp_path / "fix.bin", tmp_path / "features.csv"
     assert run(["synth", "--pqs", 1, "--qp", 22, "--texture-bits", 800,
@@ -102,7 +101,7 @@ def test_extract_zero_geometry_scale_is_an_error(tmp_path, capsys):
     seq.write_bits(0, 8)  # level_idc
     seq.write_ue(0)       # geom_scale_num
     units = [bs.TlvUnit(u.unit_type, seq.getvalue())
-             if u.unit_type == schema.code_for("sequence_params") else u
+             if u.unit_type == schema.unit_codes["sequence_params"] else u
              for u in bs.read_tlv_units(stream.read_bytes(), schema)]
     stream.write_bytes(bs.write_tlv_units(units, schema))
     assert run(["extract", stream, "--out", tmp_path / "o.csv"]) == 1
@@ -203,16 +202,12 @@ def test_extract_sidecar_is_probed_by_opening_it(tmp_path, capsys):
         f"error: {dangling}: [Errno 20] Not a directory: '{walled}/dangling.bin.meta.json'\n")
 
 
-@pytest.mark.parametrize("via_env", [False, True])
-def test_malformed_schema_is_an_error_line(tmp_path, capsys, monkeypatch, via_env):
+def test_malformed_schema_is_an_error_line(tmp_path, capsys):
     stream, schema = tmp_path / "fix.bin", tmp_path / "schema.json"
     run(["synth", "--pqs", 1, "--qp", 22, "--texture-bits", 800,
          "--points", 100, "--out", stream])
     schema.write_text('{"framing": 3}')
-    if via_env:
-        monkeypatch.setenv("STREAMPCQ_SCHEMA", str(schema))
-    argv = ["extract", stream] + ([] if via_env else ["--schema", schema])
-    assert run(argv) == 1
+    assert run(["extract", stream, "--schema", schema]) == 1
     assert capsys.readouterr().err.startswith(f"error: schema {schema}: ")
 
 
@@ -601,6 +596,16 @@ def test_train_notes_each_skipped_group_on_stderr(tmp_path, capsys):
         "note: stage A skipped group ('content01', 0.25): need at least two points\n"
         "note: stage A skipped group ('content02', 0.5): all x values identical\n"
         "note: stage B skipped group (1.0, 46): need at least two points\n")
+
+
+def test_train_refuses_coefficients_no_float_holds(tmp_path, capsys):
+    # MOS near the float limit: the stage C and D sums overflow, and their fits read NaN
+    records = [dataclasses.replace(r, mos=r.mos * 1e306) for r in make_synthetic_records()]
+    training, params = tmp_path / "training.csv", tmp_path / "p.json"
+    write_training_csv(training, records)
+    assert run(["train", training, "--out-params", params]) == 1
+    assert capsys.readouterr().err == "error: coefficients must be finite numbers: c, d, f1, f2\n"
+    assert not params.exists()
 
 
 @pytest.mark.parametrize("argv", [

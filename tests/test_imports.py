@@ -1,5 +1,5 @@
 """Every import and every module-level private name in the package is used,
-and no module builds numpy record arrays.
+no module builds numpy record arrays, and none reads the environment.
 Importing the CLI leaves scipy unloaded and numpy unexecuted: only `_lazy`
 imports numpy, and it runs at its first use, which `extract` and `synth`
 never reach."""
@@ -108,6 +108,24 @@ def test_no_module_uses_record_arrays():
     # every field access on a recarray runs Python-level numpy code; the
     # calibration columns are plain arrays
     assert [u for p in sorted(PACKAGE.glob("*.py")) for u in record_array_uses(p)] == []
+
+
+def environment_reads(path: Path) -> list:
+    """Where `path` reads the process environment: `os.environ`, `os.getenv`
+    or either imported from `os`."""
+    names = ("environ", "environb", "getenv", "getenvb")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [f"{path.name}:{n.lineno}" for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and n.attr in names
+            and isinstance(n.value, ast.Name) and n.value.id == "os"
+            or isinstance(n, ast.ImportFrom) and n.module == "os"
+            and any(a.name in names for a in n.names)]
+
+
+def test_no_module_reads_the_environment():
+    # the command line alone chooses what a command does: the same command on
+    # the same files gives the same output in any environment
+    assert [u for p in sorted(PACKAGE.glob("*.py")) for u in environment_reads(p)] == []
 
 
 def names_numpy(node) -> bool:

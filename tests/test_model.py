@@ -16,7 +16,6 @@ from streampcq.model import (
     h_of_qp,
     j_of_qp,
     pmos_g,
-    pmos_t,
     predict,
     tqs_from_qp,
 )
@@ -76,11 +75,11 @@ def test_alpha_from_tc():
 
 
 def test_pmos_t():
-    assert pmos_t(P, 46, 0.5) == pytest.approx(-17.1024, abs=1e-3)
+    assert predict(P, feats(1.0, 46, 0.5)).pmos_t == pytest.approx(-17.1024, abs=1e-3)
     tc_star = -P.d / P.c
     tbpp_star = (tc_star - j_of_qp(P, 46)) / h_of_qp(P, 46)
-    assert pmos_t(P, 46, tbpp_star) == pytest.approx(0.0, abs=1e-9)
-    assert pmos_t(ZERO, 46, 0.5) == 0.0
+    assert predict(P, feats(1.0, 46, tbpp_star)).pmos_t == pytest.approx(0.0, abs=1e-9)
+    assert predict(ZERO, feats(1.0, 46, 0.5)).pmos_t == 0.0
 
 
 def test_pmos_g():
@@ -180,6 +179,10 @@ def test_params_unknown_variant_rejected():
     ("p.json", '{"c": null}'),
     ("p.toml", "nope"),
     ("p.toml", 'c = "x"'),
+    ("p.json", '{"a1": true}'),
+    ("p.json", '{"a1": NaN}'),
+    ("p.json", '{"c": Infinity}'),
+    ("p.json", '{"f1": 1%s}' % ("0" * 400)),  # an int past the float range
 ])
 def test_malformed_params_file_fails_typed(tmp_path, name, text):
     path = tmp_path / name
