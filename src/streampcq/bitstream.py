@@ -15,9 +15,8 @@ import contextlib
 import functools
 import math
 import os
-from dataclasses import dataclass, field
-from fractions import Fraction
 
+from ._record import Record, set_field
 from .errors import (
     BitstreamExhausted,
     EmptyInput,
@@ -69,24 +68,26 @@ def _positive_int(v) -> bool:
 UE_MAX_LEADING_ZEROS = 32
 
 
-@dataclass(frozen=True)
-class TlvUnit:
-    unit_type: int
-    payload: bytes
+class TlvUnit(Record):
+    __slots__ = ("unit_type", "payload")
+
+    def __init__(self, unit_type: int, payload: bytes):
+        set_field(self, "unit_type", unit_type)
+        set_field(self, "payload", payload)
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(Record):
     """One header field: fixed-width unsigned u(n), or Exp-Golomb ue/se."""
 
-    name: str
-    kind: str          # 'u' | 'ue' | 'se'
-    width: int = 0     # bit width, only for kind == 'u'
+    __slots__ = ("name", "kind", "width")
 
-    def __post_init__(self):
-        _require(self.kind in ("u", "ue", "se"), f"unsupported descriptor kind {self.kind!r}")
-        _require(self.kind != "u" or _positive_int(self.width),
-                 f"u(n) descriptor {self.name!r} needs a positive integer width")
+    def __init__(self, name: str, kind: str, width: int = 0):
+        set_field(self, "name", name)
+        set_field(self, "kind", kind)     # 'u' | 'ue' | 'se'
+        set_field(self, "width", width)   # bit width, only for kind == 'u'
+        _require(kind in ("u", "ue", "se"), f"unsupported descriptor kind {kind!r}")
+        _require(kind != "u" or _positive_int(width),
+                 f"u(n) descriptor {name!r} needs a positive integer width")
 
     @property
     def max_bits(self) -> int:
@@ -94,41 +95,51 @@ class FieldSpec:
         return self.width if self.kind == "u" else 2 * UE_MAX_LEADING_ZEROS + 1
 
 
-@dataclass(frozen=True)
-class TargetSpec:
+class TargetSpec(Record):
     """Where a feature lives: which unit class, which field, optional divisor,
     and the header values (`where`, field -> value) a unit must carry."""
 
-    unit_class: str
-    field: str
-    divisor: int = 1
-    where: dict = field(default_factory=dict)
+    __slots__ = ("unit_class", "field", "divisor", "where")
 
-    def __post_init__(self):
-        _require(isinstance(self.unit_class, str) and isinstance(self.field, str)
-                 and isinstance(self.where, dict) and _positive_int(self.divisor),
-                 f"target {self.field!r} needs a unit class and field name, a positive "
+    def __init__(self, unit_class: str, field: str, divisor: int = 1, where: dict | None = None):
+        where = {} if where is None else where
+        set_field(self, "unit_class", unit_class)
+        set_field(self, "field", field)
+        set_field(self, "divisor", divisor)
+        set_field(self, "where", where)
+        _require(isinstance(unit_class, str) and isinstance(field, str)
+                 and isinstance(where, dict) and _positive_int(divisor),
+                 f"target {field!r} needs a unit class and field name, a positive "
                  f"integer divisor and a `where` table")
 
 
-@dataclass(frozen=True)
-class SyntaxSchema:
-    type_bytes: int = 1
-    length_bytes: int = 4
-    length_endian: str = "big"   # 'big' | 'little'
-    unit_codes: dict = field(default_factory=dict)    # class name -> code
-    field_paths: dict = field(default_factory=dict)   # class name -> [FieldSpec]
-    targets: dict = field(default_factory=dict)       # feature -> TargetSpec
+class SyntaxSchema(Record):
+    # the `__dict__` slot holds the cached `_plan`
+    __slots__ = ("type_bytes", "length_bytes", "length_endian", "unit_codes", "field_paths",
+                 "targets", "__dict__")
 
-    def __post_init__(self):
-        _require(_positive_int(self.type_bytes) and _positive_int(self.length_bytes)
-                 and self.length_endian in ("big", "little"),
+    def __init__(self, type_bytes: int = 1, length_bytes: int = 4,
+                 length_endian: str = "big",       # 'big' | 'little'
+                 unit_codes: dict | None = None,   # class name -> code
+                 field_paths: dict | None = None,  # class name -> [FieldSpec]
+                 targets: dict | None = None):     # feature -> TargetSpec
+        unit_codes = {} if unit_codes is None else unit_codes
+        field_paths = {} if field_paths is None else field_paths
+        targets = {} if targets is None else targets
+        set_field(self, "type_bytes", type_bytes)
+        set_field(self, "length_bytes", length_bytes)
+        set_field(self, "length_endian", length_endian)
+        set_field(self, "unit_codes", unit_codes)
+        set_field(self, "field_paths", field_paths)
+        set_field(self, "targets", targets)
+        _require(_positive_int(type_bytes) and _positive_int(length_bytes)
+                 and length_endian in ("big", "little"),
                  "framing needs positive integer type_bytes and length_bytes and a "
                  "length_endian of 'big' or 'little'")
         _require(all(isinstance(c, int) and not isinstance(c, bool)
-                     for c in self.unit_codes.values()), "unit codes must be integers")
+                     for c in unit_codes.values()), "unit codes must be integers")
         # extraction and synthesis divide the pqs field alone
-        _require(all(t.divisor == 1 for feat, t in self.targets.items() if feat != "pqs"),
+        _require(all(t.divisor == 1 for feat, t in targets.items() if feat != "pqs"),
                  "only the pqs target takes a divisor")
 
     @functools.cached_property
@@ -412,14 +423,18 @@ def parse_header(payload: bytes, path, reader: BitReader | None = None) -> dict:
 # Features
 
 
-@dataclass(frozen=True)
-class BitstreamFeatures:
-    pqs: float
-    qp: int
-    texture_bits: int
-    point_count: int
-    tbpp: float
-    point_count_source: str = "slice-header"  # slice-header | sidecar | decoded-cloud
+class BitstreamFeatures(Record):
+    __slots__ = ("pqs", "qp", "texture_bits", "point_count", "tbpp", "point_count_source")
+
+    def __init__(self, pqs: float, qp: int, texture_bits: int, point_count: int, tbpp: float,
+                 point_count_source: str = "slice-header"):
+        set_field(self, "pqs", pqs)
+        set_field(self, "qp", qp)
+        set_field(self, "texture_bits", texture_bits)
+        set_field(self, "point_count", point_count)
+        set_field(self, "tbpp", tbpp)
+        # slice-header | sidecar | decoded-cloud
+        set_field(self, "point_count_source", point_count_source)
 
     def validate(self):
         check_pqs_qp(self.pqs, self.qp)
@@ -525,8 +540,9 @@ def extract_features(
                 yield fields[name]
 
     raw = next(header_values("pqs"), None)
-    pqs, _ = resolve("pqs", None if raw is None else float(
-        Fraction(raw, schema.targets["pqs"].divisor)), whole=False)
+    # int true division is correctly rounded: float(Fraction(raw, divisor)), exactly
+    pqs, _ = resolve("pqs", None if raw is None else raw / schema.targets["pqs"].divisor,
+                     whole=False)
     qp, _ = resolve("qp", next(header_values("qp"), None), whole=True)
     texture_bits, _ = resolve("texture_bits", None if attr_bytes is None else 8 * attr_bytes,
                               whole=True)
@@ -583,6 +599,8 @@ def synthesize_bitstream(
     features.validate()
     if features.texture_bits % 8:
         raise UnrepresentableField("texture_bits must be a multiple of 8")
+
+    from fractions import Fraction  # here, so that importing the package skips it
 
     pqs_frac = Fraction(features.pqs).limit_denominator(1 << 20)
     divisor = schema.targets["pqs"].divisor

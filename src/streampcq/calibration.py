@@ -11,9 +11,9 @@ betas per pqs level and fits them on 1/pqs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from ._lazy import np
+from ._record import Record, set_field
 
 from .errors import DegenerateDesign
 from .model import ModelParams, tqs_from_qp
@@ -41,45 +41,51 @@ TRAINING_VARIANT = "alpha-times-tqs"
 _FIELDS = ("content", "pqs", "qp", "tbpp", "tc", "mos")
 
 
-@dataclass(frozen=True)
-class TrainingRecord:
-    content: str
-    pqs: float
-    qp: int
-    tbpp: float
-    tc: float
-    mos: float
+class TrainingRecord(Record):
+    __slots__ = _FIELDS
+
+    def __init__(self, content: str, pqs: float, qp: int, tbpp: float, tc: float, mos: float):
+        set_field(self, "content", content)
+        set_field(self, "pqs", pqs)
+        set_field(self, "qp", qp)
+        set_field(self, "tbpp", tbpp)
+        set_field(self, "tc", tc)
+        set_field(self, "mos", mos)
 
 
-@dataclass
-class FitDiagnostics:
-    stage_rss: dict = field(default_factory=dict)       # stage name -> RSS
-    stage_samples: dict = field(default_factory=dict)   # stage name -> n
-    skipped_groups: list = field(default_factory=list)  # (stage, group key, reason)
-    coefficients: dict = field(default_factory=dict)    # stage name -> tuple
+class FitDiagnostics(Record):
+    """What the stages of `train_full` report as they run, so it is mutable:
+    per stage name its RSS, sample count and coefficients, and a (stage,
+    group key, reason) for each group skipped."""
+
+    __slots__ = ("stage_rss", "stage_samples", "skipped_groups", "coefficients")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, stage_rss: dict | None = None, stage_samples: dict | None = None,
+                 skipped_groups: list | None = None, coefficients: dict | None = None):
+        self.stage_rss = {} if stage_rss is None else stage_rss
+        self.stage_samples = {} if stage_samples is None else stage_samples
+        self.skipped_groups = [] if skipped_groups is None else skipped_groups
+        self.coefficients = {} if coefficients is None else coefficients
 
 
-class _Columns:
+class _Columns(Record):
     """Read-only plain arrays of equal length, one per name in `__slots__`;
-    `cols[mask]` holds the rows a boolean mask selects.  (Not a dataclass: a
-    frozen one costs about a millisecond to define at import.)"""
+    `cols[mask]` holds the rows a boolean mask selects."""
 
     __slots__ = ()
 
     def __init__(self, *cols):
-        for name, col in zip(self.__slots__, cols, strict=True):
-            object.__setattr__(self, name, col)
-
-    def __setattr__(self, *_):
-        raise AttributeError(f"{type(self).__name__} is read-only")
-
-    __delattr__ = __setattr__
+        for name, col in zip(self._fields, cols, strict=True):
+            set_field(self, name, col)
 
     def __len__(self):
-        return len(getattr(self, self.__slots__[0]))
+        return len(getattr(self, self._fields[0]))
 
     def __getitem__(self, mask):
-        return type(self)(*(getattr(self, name)[mask] for name in self.__slots__))
+        return type(self)(*(getattr(self, name)[mask] for name in self._fields))
 
 
 class TrainingColumns(_Columns):

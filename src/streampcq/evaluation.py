@@ -9,9 +9,9 @@ Convention: SRCC on raw scores, PLCC and RMSE after logistic mapping.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from ._lazy import np
+from ._record import Record, set_field
 
 from .errors import DegenerateDesign, InvalidInput, StreamPcqError, ZeroVariance
 from .calibration import TRAINING_VARIANT, record_columns, train_full
@@ -36,16 +36,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ScorePairSet:
-    objective: np.ndarray
-    mos: np.ndarray
+class ScorePairSet(Record):
+    __slots__ = ("objective", "mos")
 
-    def __post_init__(self):
-        obj = np.asarray(self.objective, dtype=float)
-        mos = np.asarray(self.mos, dtype=float)
-        object.__setattr__(self, "objective", obj)
-        object.__setattr__(self, "mos", mos)
+    def __init__(self, objective: np.ndarray, mos: np.ndarray):
+        obj = np.asarray(objective, dtype=float)
+        mos = np.asarray(mos, dtype=float)
+        set_field(self, "objective", obj)
+        set_field(self, "mos", mos)
         if len(obj) != len(mos):
             raise ValueError("need equal-length score vectors")
         if len(obj) < 5:
@@ -54,29 +52,36 @@ class ScorePairSet:
             raise ValueError("scores must be finite")
 
 
-@dataclass(frozen=True)
-class EvalReport:
-    plcc: float
-    srcc: float
-    rmse: float
-    logistic_params: tuple           # (beta1, beta2, beta3, beta4)
-    mapped: np.ndarray
-    converged: bool = True
+class EvalReport(Record):
+    __slots__ = ("plcc", "srcc", "rmse", "logistic_params", "mapped", "converged")
+
+    def __init__(self, plcc: float, srcc: float, rmse: float, logistic_params: tuple,
+                 mapped: np.ndarray, converged: bool = True):
+        set_field(self, "plcc", plcc)
+        set_field(self, "srcc", srcc)
+        set_field(self, "rmse", rmse)
+        set_field(self, "logistic_params", logistic_params)  # (beta1, beta2, beta3, beta4)
+        set_field(self, "mapped", mapped)
+        set_field(self, "converged", converged)
 
 
-@dataclass(frozen=True)
-class LogisticFit:
-    params: tuple
-    mapped: np.ndarray
-    rss: float
-    converged: bool
+class LogisticFit(Record):
+    __slots__ = ("params", "mapped", "rss", "converged")
+
+    def __init__(self, params: tuple, mapped: np.ndarray, rss: float, converged: bool):
+        set_field(self, "params", params)
+        set_field(self, "mapped", mapped)
+        set_field(self, "rss", rss)
+        set_field(self, "converged", converged)
 
 
-@dataclass(frozen=True)
-class SignificanceVerdict:
-    f_statistic: float
-    decision: str          # 'row-better' | 'column-better' | 'equivalent'
-    confidence: float = 0.95
+class SignificanceVerdict(Record):
+    __slots__ = ("f_statistic", "decision", "confidence")
+
+    def __init__(self, f_statistic: float, decision: str, confidence: float = 0.95):
+        set_field(self, "f_statistic", f_statistic)
+        set_field(self, "decision", decision)  # 'row-better' | 'column-better' | 'equivalent'
+        set_field(self, "confidence", confidence)
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,9 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass, asdict, fields
 
 from ._lazy import np
+from ._record import Record, set_field
 
 from .errors import InvalidFeature, InvalidParams, NonPositivePqs
 from .table import read_document, write_document
@@ -46,35 +46,34 @@ VARIANTS = ("eq11-literal", "alpha-times-tqs")
 QP_MAX = 4 + 6 * sys.float_info.max_exp - 1
 
 
-@dataclass(frozen=True)
-class ModelParams:
-    # H(qp) = a1*qp^2 + a2*qp + a3 ; J(qp) = b1*qp + b2
-    a1: float = 0.2176
-    a2: float = -11.1828
-    a3: float = 146.7245
-    b1: float = 0.2428
-    b2: float = -3.2494
-    # alpha = c*tc + d
-    c: float = 0.0013
-    d: float = -0.2042
-    # geometry term = f1/pqs + f2
-    f1: float = -2.7005
-    f2: float = 88.1843
-    variant: str = "eq11-literal"
+class ModelParams(Record):
+    __slots__ = (
+        "a1", "a2", "a3", "b1", "b2",  # H(qp) = a1*qp^2 + a2*qp + a3 ; J(qp) = b1*qp + b2
+        "c", "d",                      # alpha = c*tc + d
+        "f1", "f2",                    # geometry term = f1/pqs + f2
+        "variant",
+    )
 
-    def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise InvalidParams(f"unknown variant {self.variant!r}")
+    def __init__(self, a1: float = 0.2176, a2: float = -11.1828, a3: float = 146.7245,
+                 b1: float = 0.2428, b2: float = -3.2494, c: float = 0.0013,
+                 d: float = -0.2042, f1: float = -2.7005, f2: float = 88.1843,
+                 variant: str = "eq11-literal"):
+        values = (a1, a2, a3, b1, b2, c, d, f1, f2, variant)
+        for name, value in zip(self._fields, values):
+            set_field(self, name, value)
+        if variant not in VARIANTS:
+            raise InvalidParams(f"unknown variant {variant!r}")
         # JSON true is no number; NaN, an infinity and an int past the float range
         # all fail the bound (math.isfinite would raise on that int)
-        bad = [f.name for f in fields(self) if f.name != "variant" and (
-            isinstance(v := getattr(self, f.name), bool) or not isinstance(v, numbers.Real)
-            or not abs(v) <= sys.float_info.max)]
+        bad = [name for name, v in zip(self._fields, values[:-1]) if
+               isinstance(v, bool) or not isinstance(v, numbers.Real)
+               or not abs(v) <= sys.float_info.max]
         if bad:
             raise InvalidParams(f"coefficients must be finite numbers: {', '.join(bad)}")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields by name, in field order."""
+        return dict(zip(self._fields, self._values()))
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelParams":
@@ -90,14 +89,17 @@ class ModelParams:
         write_document(path, self.to_dict())
 
 
-@dataclass(frozen=True)
-class QualityPrediction:
-    pmos: float
-    pmos_t: float
-    pmos_g: float
-    tc_est: float
-    alpha: float
-    tqs: float
+class QualityPrediction(Record):
+    __slots__ = ("pmos", "pmos_t", "pmos_g", "tc_est", "alpha", "tqs")
+
+    def __init__(self, pmos: float, pmos_t: float, pmos_g: float, tc_est: float,
+                 alpha: float, tqs: float):
+        set_field(self, "pmos", pmos)
+        set_field(self, "pmos_t", pmos_t)
+        set_field(self, "pmos_g", pmos_g)
+        set_field(self, "tc_est", tc_est)
+        set_field(self, "alpha", alpha)
+        set_field(self, "tqs", tqs)
 
 
 def tqs_from_qp(qp) -> float:

@@ -9,35 +9,37 @@ and are excluded entirely.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from ._lazy import np
+from ._record import Record, set_field
 
 from .errors import InvalidInput, MalformedHeader, NoEligibleBlocks, UnsupportedPly
 
 __all__ = ["PointCloud", "TcResult", "read_ply", "write_ply", "rgb_to_luma", "compute_tc"]
 
 
-@dataclass(frozen=True)
-class PointCloud:
-    positions: np.ndarray  # (N, 3) int32 voxel coordinates
-    colors: np.ndarray     # (N, 3) uint8 RGB
+class PointCloud(Record):
+    __slots__ = ("positions", "colors")
 
-    def __post_init__(self):
-        if len(self.positions) != len(self.colors):
+    def __init__(self, positions: np.ndarray, colors: np.ndarray):
+        set_field(self, "positions", positions)  # (N, 3) int32 voxel coordinates
+        set_field(self, "colors", colors)        # (N, 3) uint8 RGB
+        if len(positions) != len(colors):
             raise ValueError("positions and colors must be the same length")
-        if len(self.positions) == 0:
+        if len(positions) == 0:
             raise ValueError("empty point cloud")
 
     def __len__(self):
         return len(self.positions)
 
 
-@dataclass(frozen=True)
-class TcResult:
-    tc: float
-    blocks_used: int
-    block_edge: int
+class TcResult(Record):
+    __slots__ = ("tc", "blocks_used", "block_edge")
+
+    def __init__(self, tc: float, blocks_used: int, block_edge: int):
+        set_field(self, "tc", tc)
+        set_field(self, "blocks_used", blocks_used)
+        set_field(self, "block_edge", block_edge)
 
 
 def rgb_to_luma(r, g, b):
@@ -59,10 +61,6 @@ _PLY_TYPES = {
     "float": ("f4", 4), "float32": ("f4", 4),
     "double": ("f8", 8), "float64": ("f8", 8),
 }
-
-
-def _round_half_away(x):
-    return np.sign(x) * np.floor(np.abs(x) + 0.5)
 
 
 def read_ply(path) -> PointCloud:
@@ -127,26 +125,40 @@ def read_ply(path) -> PointCloud:
         if len(body) < vertex_count * dtype.itemsize:
             raise MalformedHeader("binary body shorter than declared")
         rec = np.frombuffer(body, dtype=dtype, count=vertex_count)
-        cols = {name: rec[name].astype(float) for name, _, _ in props}
+        cols = {name: rec[name] for name, _, _ in props}
 
-    positions = _whole_numbers({a: _round_half_away(cols[a]) for a in ("x", "y", "z")},
-                               np.int32, "an int32 voxel coordinate")
-    colors = _whole_numbers({a: cols[a] for a in ("red", "green", "blue")},
-                            np.uint8, "a colour in 0..255")
+    xyz, rgb = ("x", "y", "z"), ("red", "green", "blue")
+    coords = _float_columns(cols, xyz, vertex_count)
+    # round half away from zero, in place: sign(x) * floor(|x| + 0.5)
+    magnitude = np.abs(coords)
+    magnitude += 0.5
+    np.floor(magnitude, out=magnitude)
+    np.copysign(magnitude, coords, out=coords)
+    positions = _whole_numbers(coords, xyz, np.int32, "an int32 voxel coordinate")
+    colors = _whole_numbers(_float_columns(cols, rgb, vertex_count), rgb, np.uint8,
+                            "a colour in 0..255")
     return PointCloud(positions, colors)
 
 
-def _whole_numbers(cols, dtype, what):
-    """The columns of the dict `cols` side by side, as one array of `dtype`; a
-    value it cannot hold exactly, such as NaN or one out of its range, fails
-    the file rather than wrapping round."""
-    values = np.stack(list(cols.values()), axis=1)
+def _float_columns(cols, names, n):
+    """The columns `names` of the dict `cols`, side by side in one new float
+    array of n rows, with no per-column copy."""
+    values = np.empty((n, len(names)))
+    for k, name in enumerate(names):
+        values[:, k] = cols[name]
+    return values
+
+
+def _whole_numbers(values, names, dtype, what):
+    """The float columns `values`, one per name in `names`, as an array of
+    `dtype`; a value it cannot hold exactly, such as NaN or one out of its
+    range, fails the file rather than wrapping round."""
     with np.errstate(invalid="ignore"):  # NaN and values out of range, refused below
         cast = values.astype(dtype)
     bad = cast != values  # a cast that changed a value: no value of dtype equals it
     if bad.any():
         point, k = np.argwhere(bad)[0]
-        raise UnsupportedPly(f"property {list(cols)[k]!r} of vertex {point} holds "
+        raise UnsupportedPly(f"property {names[k]!r} of vertex {point} holds "
                              f"{float(values[point, k])!r}, not {what}")
     return cast
 

@@ -9,9 +9,9 @@ scores are pooled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from ._lazy import np
+from ._record import Record, set_field
 
 from .errors import DegenerateRange, InvalidInput, ZeroVarianceSubject
 from .table import rating, read_table
@@ -26,29 +26,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SubjectiveMatrix:
+class SubjectiveMatrix(Record):
     """Raw scores, stimuli in rows, subjects in columns; NaN marks missing."""
 
-    ratings: np.ndarray
-    stimulus_ids: tuple = ()
-    subject_ids: tuple = ()
+    __slots__ = ("ratings", "stimulus_ids", "subject_ids")
 
-    def __post_init__(self):
-        r = np.asarray(self.ratings, dtype=float)
-        object.__setattr__(self, "ratings", r)
+    def __init__(self, ratings: np.ndarray, stimulus_ids: tuple = (), subject_ids: tuple = ()):
+        r = np.asarray(ratings, dtype=float)
         if r.ndim != 2 or r.shape[0] < 2 or r.shape[1] < 2:
             raise ValueError("need at least 2 stimuli and 2 subjects")
         if np.any(np.sum(~np.isnan(r), axis=0) < 2):
             raise ValueError("every subject needs at least two ratings")
         if np.any(np.all(np.isnan(r), axis=1)):
             raise ValueError("every stimulus needs at least one rating")
-        if not self.stimulus_ids:
-            object.__setattr__(self, "stimulus_ids",
-                               tuple(f"s{i}" for i in range(r.shape[0])))
-        if not self.subject_ids:
-            object.__setattr__(self, "subject_ids",
-                               tuple(f"obs{i}" for i in range(r.shape[1])))
+        set_field(self, "ratings", r)
+        set_field(self, "stimulus_ids", stimulus_ids or tuple(f"s{i}" for i in range(r.shape[0])))
+        set_field(self, "subject_ids", subject_ids or tuple(f"obs{i}" for i in range(r.shape[1])))
 
     @classmethod
     def read_csv(cls, path) -> "SubjectiveMatrix":
@@ -64,13 +57,16 @@ class SubjectiveMatrix:
             raise InvalidInput(f"{path}: {exc}") from None
 
 
-@dataclass(frozen=True)
-class MosTable:
-    mos: np.ndarray
-    std: np.ndarray
-    n_valid: np.ndarray
-    stimulus_ids: tuple
-    rejected_subjects: tuple = ()
+class MosTable(Record):
+    __slots__ = ("mos", "std", "n_valid", "stimulus_ids", "rejected_subjects")
+
+    def __init__(self, mos: np.ndarray, std: np.ndarray, n_valid: np.ndarray,
+                 stimulus_ids: tuple, rejected_subjects: tuple = ()):
+        set_field(self, "mos", mos)
+        set_field(self, "std", std)
+        set_field(self, "n_valid", n_valid)
+        set_field(self, "stimulus_ids", stimulus_ids)
+        set_field(self, "rejected_subjects", rejected_subjects)
 
 
 def zscore(ratings: np.ndarray, subject_ids=None) -> np.ndarray:

@@ -7,9 +7,10 @@ import os
 import threading
 import tracemalloc
 import weakref
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from streampcq import bitstream as bs
 from streampcq.errors import (
@@ -381,6 +382,34 @@ def test_header_prefix_only_consumption():
 def test_roundtrip_property(pqs, qp, nbytes, pc):
     f = feats(pqs, qp, 8 * nbytes, pc)
     assert bs.extract_features(bs.synthesize_bitstream(f, SCHEMA), SCHEMA) == f
+
+
+def wide_pqs_stream(raw, divisor):
+    """(stream, schema): the schema's pqs field is a u(64) over `divisor`, and
+    the stream's holds `raw`."""
+    d = SCHEMA.to_dict()
+    d["field_paths"]["sequence_params"][-1] = {"name": "geom_scale_num", "kind": "u", "width": 64}
+    d["targets"]["pqs"]["divisor"] = divisor
+    schema = bs.SyntaxSchema.from_dict(d)
+    units = bs.read_tlv_units(bs.synthesize_bitstream(feats(1.0, 28, 800, 100), schema), schema)
+    w = bs.BitWriter()
+    w.write_bits(0, 16)  # profile_idc, level_idc
+    w.write_bits(raw, 64)
+    units[0] = units[0].replace(payload=w.getvalue())  # the sequence_params unit
+    return bs.write_tlv_units(units, schema), schema
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=st.one_of(st.integers(1, 2**53), st.integers(2**53 + 1, 2**64 - 1)),
+       divisor=st.integers(1, 2**32 - 1))
+@example(raw=2**53 + 1, divisor=1)
+@example(raw=3 * (2**53 + 1), divisor=3)
+@example(raw=2**64 - 1, divisor=2**32 - 1)
+@example(raw=2**64 - 3, divisor=2**32 - 3)
+def test_pqs_is_the_exact_quotient_rounded_once(raw, divisor):
+    # int true division rounds raw/divisor correctly, as Fraction's float does
+    data, schema = wide_pqs_stream(raw, divisor)
+    assert bs.extract_features(data, schema).pqs == float(Fraction(raw, divisor))
 
 
 def test_schema_json_roundtrip(tmp_path):

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from unittest import mock
 
@@ -269,7 +268,7 @@ def test_train_full_defaults_to_the_variant_stage_a_fits(synthetic_records):
 
 def test_first_tc_per_content_does_not_depend_on_record_order(synthetic_records):
     rng = np.random.default_rng(8)
-    jittered = [dataclasses.replace(r, tc=r.tc + rng.normal(0.0, 1.0)) for r in synthetic_records]
+    jittered = [r.replace(tc=r.tc + rng.normal(0.0, 1.0)) for r in synthetic_records]
     p1, _ = train_full(jittered)
     rng.shuffle(jittered)
     p2, _ = train_full(jittered)

@@ -1,6 +1,5 @@
 import contextlib
 import csv
-import dataclasses
 import io
 import json
 import os
@@ -590,7 +589,7 @@ def test_train_notes_each_skipped_group_on_stderr(tmp_path, capsys):
             and not (r.pqs == 1.0 and r.qp == 46 and r.content != "content00")]
     twin = next(r for r in kept if r.content == "content02" and r.pqs == 0.5)
     training = tmp_path / "training.csv"
-    write_training_csv(training, kept + [dataclasses.replace(twin, mos=twin.mos + 1.0)])
+    write_training_csv(training, kept + [twin.replace(mos=twin.mos + 1.0)])
     assert run(["train", training, "--out-params", tmp_path / "p.json"]) == 0
     assert capsys.readouterr().err == (
         "note: stage A skipped group ('content01', 0.25): need at least two points\n"
@@ -600,7 +599,7 @@ def test_train_notes_each_skipped_group_on_stderr(tmp_path, capsys):
 
 def test_train_refuses_coefficients_no_float_holds(tmp_path, capsys):
     # MOS near the float limit: the stage C and D sums overflow, and their fits read NaN
-    records = [dataclasses.replace(r, mos=r.mos * 1e306) for r in make_synthetic_records()]
+    records = [r.replace(mos=r.mos * 1e306) for r in make_synthetic_records()]
     training, params = tmp_path / "training.csv", tmp_path / "p.json"
     write_training_csv(training, records)
     assert run(["train", training, "--out-params", params]) == 1

@@ -2,7 +2,8 @@
 no module builds numpy record arrays, and none reads the environment.
 Importing the CLI leaves scipy unloaded and numpy unexecuted: only `_lazy`
 imports numpy, and it runs at its first use, which `extract` and `synth`
-never reach."""
+never reach.  No module imports `dataclasses`, and importing the CLI loads
+neither it nor `inspect`, `fractions` or `decimal`; nor does `extract`."""
 
 import ast
 import os
@@ -78,6 +79,13 @@ def test_cli_import_leaves_scipy_unloaded():
     assert fresh("import sys, streampcq.cli; print('scipy' in sys.modules)") == ["False"]
 
 
+def test_cli_import_leaves_dataclasses_inspect_and_fractions_unloaded():
+    # records are plain slotted classes (`_record`), and only synthesis
+    # imports fractions
+    assert fresh("import sys, streampcq.cli; print(sorted(m for m in ('dataclasses', 'inspect', "
+                 "'fractions', 'decimal') if m in sys.modules))") == ["[]"]
+
+
 def importers(*modules) -> list:
     """The package files that import any of `modules`, anywhere in the file."""
     return [p.name for p in sorted(PACKAGE.glob("*.py"))
@@ -88,6 +96,10 @@ def importers(*modules) -> list:
 
 def test_only_the_table_module_imports_csv():
     assert importers("csv") == ["table.py"]
+
+
+def test_no_module_imports_dataclasses():
+    assert importers("dataclasses") == []
 
 
 def test_only_the_table_module_reads_or_writes_documents():
@@ -166,6 +178,21 @@ for argv in (["--help"], ["extract"]):  # help, and an argument error
     again = tmp_path / "again.csv"
     assert cli.main(["extract", str(stream), "--out", str(again)]) == 0
     assert again.read_bytes() == out.read_bytes()
+
+
+def test_extract_leaves_fractions_unloaded(tmp_path):
+    from streampcq import cli
+
+    stream, out = tmp_path / "s.bin", tmp_path / "features.csv"
+    assert cli.main(["synth", "--pqs", "0.375", "--qp", "28", "--texture-bits", "800",
+                     "--points", "100", "--out", str(stream)]) == 0
+    probe = """
+import sys
+from streampcq import cli
+print(cli.main(["extract", sys.argv[1], "--out", sys.argv[2]]), 'fractions' in sys.modules)
+"""
+    assert fresh(probe, stream, out) == ["0 False"]
+    assert out.read_text().splitlines()[1].endswith(",0.375,28,800,100,8.0,slice-header")
 
 
 def test_a_fresh_score_loads_numpy_on_first_use(tmp_path):
