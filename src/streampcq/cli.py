@@ -1,11 +1,12 @@
 """Command-line surface.
 
 Every subcommand is a thin wrapper over one library operation and speaks
-CSV (header row, '.' decimal; see `table`): input files, --out files and
-tables on stdout are UTF-8 whatever the locale.  Pass --json where
-available for a machine-readable mirror.  Bad input ends a command with one
-`error:` line and a non-zero exit, except that `extract`, `tc` and `score`
-fail only the bad stream, cloud or row, write the rest and exit 1.
+CSV (header row, '.' decimal; see `table`, which formats every cell it is
+handed): input files, --out files and tables on stdout are UTF-8 whatever
+the locale.  Pass --json where available for a machine-readable mirror.
+Bad input ends a command with one `error:` line and a non-zero exit,
+except that `extract`, `tc` and `score` fail only the bad stream, cloud or
+row, write the rest and exit 1.
 Deterministic: identical inputs and seed give byte-identical outputs.
 """
 
@@ -41,9 +42,16 @@ def _load_schema(path):
 
 def _load_params(path, variant=None):
     p = ModelParams.load(path) if path else ModelParams()
-    if variant:
-        p = ModelParams(**{**p.to_dict(), "variant": variant})
-    return p
+    return p.replace(variant=variant) if variant else p
+
+
+def _finish(args, header, rows, failures=()) -> int:
+    """Write the result table, then one `error: <label>: <message>` line per
+    (label, message) of `failures`, in order; the exit code."""
+    write_table(args.out, header, rows, args.json)
+    for label, msg in failures:
+        print(f"error: {label}: {msg}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 # ---------------------------------------------------------------------------
@@ -66,12 +74,9 @@ def cmd_extract(args) -> int:
             failures.append((stream, str(exc)))
             continue
         rows.append([stream, feats.pqs, feats.qp, feats.texture_bits,
-                     feats.point_count, repr(feats.tbpp), feats.point_count_source])
-    write_table(args.out, ["stream", "pqs", "qp", "texture_bits", "point_count",
-                           "tbpp", "point_count_source"], rows, args.json)
-    for stream, msg in failures:
-        print(f"error: {stream}: {msg}", file=sys.stderr)
-    return 1 if failures else 0
+                     feats.point_count, feats.tbpp, feats.point_count_source])
+    return _finish(args, ["stream", "pqs", "qp", "texture_bits", "point_count", "tbpp",
+                          "point_count_source"], rows, failures)
 
 
 def cmd_score(args) -> int:
@@ -86,8 +91,7 @@ def cmd_score(args) -> int:
             failures.append((i, str(exc)))
             continue
         inputs.append((pqs, qp, tbpp))
-        cells = dict(zip(row.header, row.texts))
-        rows.append((i, [cells.get("stream", str(i)), *(cells[k] for k in kinds)]))
+        rows.append((i, [dict(zip(row.header, row.texts)).get("stream", str(i)), pqs, qp, tbpp]))
     pqs, qp, tbpp = np.array(inputs, dtype=float).reshape(-1, 3).T
     with np.errstate(over="ignore", invalid="ignore"):  # inf and nan, as in scalar arithmetic
         pred = predict(params, SimpleNamespace(pqs=pqs, qp=qp, tbpp=tbpp))
@@ -101,14 +105,13 @@ def cmd_score(args) -> int:
             continue
         if args.clamp:
             values[0] = min(100.0, max(0.0, values[0]))
-        written.append(row + [repr(v) for v in values])
-    write_table(args.out, ["stream", "pqs", "qp", "tbpp", *terms], written, args.json)
-    for i, msg in sorted(failures):
-        print(f"error: row {i}: {msg}", file=sys.stderr)
-    return 1 if failures else 0
+        written.append(row + values)
+    return _finish(args, ["stream", *kinds, *terms], written,
+                   [(f"row {i}", msg) for i, msg in sorted(failures)])
 
 
 def cmd_tc(args) -> int:
+    pcio.check_block_edge(args.block_edge)  # once, before any cloud is read
     rows, failures = [], []
     for cloud in args.clouds:
         try:
@@ -117,11 +120,8 @@ def cmd_tc(args) -> int:
         except (StreamPcqError, OSError) as exc:
             failures.append((cloud, str(exc)))
             continue
-        rows.append([cloud, res.block_edge, res.blocks_used, repr(res.tc)])
-    write_table(args.out, ["cloud", "block_edge", "blocks_used", "tc"], rows, args.json)
-    for cloud, msg in failures:
-        print(f"error: {cloud}: {msg}", file=sys.stderr)
-    return 1 if failures else 0
+        rows.append([cloud, res.block_edge, res.blocks_used, res.tc])
+    return _finish(args, ["cloud", "block_edge", "blocks_used", "tc"], rows, failures)
 
 
 def cmd_train(args) -> int:
@@ -129,8 +129,8 @@ def cmd_train(args) -> int:
     params, diag = cal.train_full(records, variant=args.variant)
     params.save(args.out_params)
     if args.diagnostics:
-        rows = [[stage, repr(diag.stage_rss.get(stage)), diag.stage_samples.get(stage),
-                 " ".join(repr(v) for v in diag.coefficients.get(stage, ()))]
+        rows = [[stage, diag.stage_rss.get(stage), diag.stage_samples.get(stage),
+                 " ".join(map(str, diag.coefficients.get(stage, ())))]
                 for stage in sorted(set(diag.stage_rss) | set(diag.coefficients))]
         write_table(args.diagnostics, ["stage", "rss", "samples", "coefficients"], rows)
     for stage, key, reason in diag.skipped_groups:
@@ -150,29 +150,24 @@ def _read_scores_csv(path):
 
 def cmd_eval(args) -> int:
     rep = ev.evaluate(_read_scores_csv(args.scores))
-    b1, b2, b3, b4 = rep.logistic_params
-    write_table(args.out, ["plcc", "srcc", "rmse", "beta1", "beta2", "beta3",
-                           "beta4", "converged"],
-                [[repr(rep.plcc), repr(rep.srcc), repr(rep.rmse),
-                  repr(b1), repr(b2), repr(b3), repr(b4), rep.converged]], args.json)
-    return 0
+    return _finish(args, ["plcc", "srcc", "rmse", "beta1", "beta2", "beta3", "beta4",
+                          "converged"],
+                   [[rep.plcc, rep.srcc, rep.rmse, *rep.logistic_params, rep.converged]])
 
 
 def cmd_loocv(args) -> int:
     records = cal.read_training_csv(args.training)
     folds, summary = ev.loocv(records, variant=args.variant)
-    rows = [[held, repr(r.plcc), repr(r.srcc), repr(r.rmse)]
-            for held, r in sorted(folds.items())]
+    rows = [[held, r.plcc, r.srcc, r.rmse] for held, r in sorted(folds.items())]
     for stat in ("mean", "std"):
         if summary[stat]:
-            rows.append([stat] + [repr(float(summary[stat][k])) for k in ("plcc", "srcc", "rmse")])
-    write_table(args.out, ["fold", "plcc", "srcc", "rmse"], rows, args.json)
-    for held, msg in summary["failed_folds"].items():
-        print(f"error: fold {held}: {msg}", file=sys.stderr)
+            rows.append([stat] + [summary[stat][k] for k in ("plcc", "srcc", "rmse")])
+    code = _finish(args, ["fold", "plcc", "srcc", "rmse"], rows,
+                   [(f"fold {held}", msg) for held, msg in summary["failed_folds"].items()])
     for held, r in folds.items():
         if not r.converged:
             print(f"note: fold {held}: logistic fit did not converge", file=sys.stderr)
-    return 1 if summary["failed_folds"] else 0
+    return code
 
 
 def cmd_splits(args) -> int:
@@ -182,8 +177,8 @@ def cmd_splits(args) -> int:
     results, summary = ev.random_split_eval(
         records, n_splits=args.n, n_train=args.train_contents,
         seed=args.seed, variant=args.variant)
-    rows = [[i, repr(p), repr(s), repr(r)] for i, (p, s, r) in enumerate(results)]
-    write_table(args.out, ["split", "plcc", "srcc", "rmse"], rows, args.json)
+    write_table(args.out, ["split", "plcc", "srcc", "rmse"],
+                [[i, *prs] for i, prs in enumerate(results)], args.json)
     if summary["mean"]:
         print(f"seed={summary['seed']} n={summary['n_splits']} "
               f"mean plcc={summary['mean']['plcc']:.4f} "
@@ -198,18 +193,11 @@ def cmd_significance(args) -> int:
     residuals = [np.array([row.values[0] for row in read_table(p, {"residual": finite_float})])
                  for p in args.residuals]
     ev.check_level(args.level)  # also when one file leaves no pair to test
-    encode = {"row-better": "1", "equivalent": "0.5", "column-better": "0"}
-    rows = []
-    for i, ri in enumerate(residuals):
-        row = [names[i]]
-        for j, rj in enumerate(residuals):
-            if i == j:
-                row.append("0.5")
-            else:
-                row.append(encode[ev.f_test(ri, rj, level=args.level).decision])
-        rows.append(row)
-    write_table(args.out, ["model"] + names, rows, args.json)
-    return 0
+    encode = {"row-better": 1, "equivalent": 0.5, "column-better": 0}
+    rows = [[names[i]] + [0.5 if i == j else encode[ev.f_test(ri, rj, level=args.level).decision]
+                          for j, rj in enumerate(residuals)]
+            for i, ri in enumerate(residuals)]
+    return _finish(args, ["model"] + names, rows)
 
 
 def cmd_synth(args) -> int:

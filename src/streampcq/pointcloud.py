@@ -15,7 +15,8 @@ from ._record import Record, set_field
 
 from .errors import InvalidInput, MalformedHeader, NoEligibleBlocks, UnsupportedPly
 
-__all__ = ["PointCloud", "TcResult", "read_ply", "write_ply", "rgb_to_luma", "compute_tc"]
+__all__ = ["PointCloud", "TcResult", "read_ply", "write_ply", "rgb_to_luma", "check_block_edge",
+           "compute_tc"]
 
 
 class PointCloud(Record):
@@ -213,16 +214,21 @@ def _block_runs(positions, block_edge):
     return order, np.concatenate(([0], np.flatnonzero(change) + 1))
 
 
+def check_block_edge(block_edge: int):
+    """InvalidInput unless the block edge is from 1 to the int64 maximum."""
+    if block_edge < 1:
+        raise InvalidInput(f"block_edge must be >= 1, got {block_edge}")
+    if block_edge > _INT64_MAX:
+        raise InvalidInput(f"block_edge must be <= {_INT64_MAX}, got {block_edge}")
+
+
 def compute_tc(pc: PointCloud, block_edge: int = 4, luma=None) -> TcResult:
     """Mean per-block population std of luma over blocks with >= 2 points.
 
     `luma` overrides the per-point scalar (testing hook); default is BT.601
     luma of the stored colors.
     """
-    if block_edge < 1:
-        raise InvalidInput(f"block_edge must be >= 1, got {block_edge}")
-    if block_edge > _INT64_MAX:
-        raise InvalidInput(f"block_edge must be <= {_INT64_MAX}, got {block_edge}")
+    check_block_edge(block_edge)
     if luma is None:
         luma = rgb_to_luma(pc.colors[:, 0], pc.colors[:, 1], pc.colors[:, 2])
     else:

@@ -104,7 +104,9 @@ def read_table(path, kinds) -> list:
 def write_table(out, header, rows, as_json=False):
     """Write `header` and `rows` in UTF-8 to the file `out`, or to stdout if
     `out` is None: as CSV, or with `as_json` as a JSON list of one object per
-    row.  A command-line path that is not text in the locale's encoding (its
+    row.  A cell is a value: a str, an int, a bool or a float (`np.float64`
+    too), which both forms write as its shortest repr; callers format none.
+    A command-line path that is not text in the locale's encoding (its
     surrogate escapes) is written as the bytes it came from."""
     if out:
         fh = open(out, "w", encoding="utf-8", errors="surrogateescape", newline="")

@@ -246,7 +246,7 @@ def test_missing_input_file_is_an_error_line(tmp_path, capsys, argv):
     (["eval", "SHORT_ROW"], "SHORT_ROW: line 4: column 'mos': '' is not a finite float"),
     (["eval", "THREE_ROWS"], "THREE_ROWS: need at least five score pairs, got 3"),
     (["significance", "NO_RESIDUAL", "NO_RESIDUAL"], "NO_RESIDUAL: line 1: no column 'residual'"),
-    (["tc", "CLOUD", "--block-edge", 0], "CLOUD: block_edge must be >= 1, got 0"),
+    (["tc", "CLOUD", "--block-edge", 0], "block_edge must be >= 1, got 0"),
     (["score", "BYTE_FEATURES"],
      "BYTE_FEATURES: line 3: column 'stream': byte 0xff is not UTF-8"),
     (["eval", "BYTE_SCORES"], "BYTE_SCORES: line 3: column 'mos': byte 0xff is not UTF-8"),
@@ -284,8 +284,9 @@ def test_missing_input_file_is_an_error_line(tmp_path, capsys, argv):
      "level must be between 0 and 1, got -1.0"),
     (["splits", "training.csv", "--seed", -1], "seed must be >= 0, got -1"),
     (["tc", "CLOUD", "--block-edge", 99999999999999999999],
-     "CLOUD: block_edge must be <= 9223372036854775807, got 99999999999999999999"),
+     "block_edge must be <= 9223372036854775807, got 99999999999999999999"),
     (["significance", "RESIDUALS", "--level", 5], "level must be between 0 and 1, got 5.0"),
+    (["tc", "CLOUD", "CLOUD", "--block-edge", 0], "block_edge must be >= 1, got 0"),
 ])
 def test_bad_csv_or_option_is_one_error_line(tmp_path, capsys, argv, says):
     from streampcq.pointcloud import PointCloud, write_ply
@@ -461,7 +462,7 @@ def test_one_parser_serves_every_call(tmp_path, monkeypatch):
     ModelParams(f2=300.0).save(params)  # pmos above 100
     out = tmp_path / "scores"
     assert run(["score", feat, "--params", params, "--json", "--clamp", "--out", out]) == 0
-    assert json.loads(out.read_text())[0]["pmos"] == "100.0"
+    assert json.loads(out.read_text())[0]["pmos"] == 100.0
     # neither option carries over to the next call
     assert run(["score", feat, "--params", params, "--out", out]) == 0
     assert float(read_csv(out)[0]["pmos"]) > 100
@@ -500,6 +501,12 @@ def test_tc_command(tmp_path):
     row, = read_csv(out)
     assert int(row["blocks_used"]) == 1
     assert float(row["tc"]) > 0
+
+
+def test_tc_checks_the_block_edge_once_before_reading_a_cloud(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli.pcio, "read_ply", lambda path: pytest.fail(f"read {path}"))
+    assert run(["tc", tmp_path / "a.ply", tmp_path / "b.ply", "--block-edge", 0]) == 1
+    assert capsys.readouterr() == ("", "error: block_edge must be >= 1, got 0\n")
 
 
 def test_train_eval_pipeline(tmp_path):
@@ -646,3 +653,46 @@ def test_json_output(tmp_path):
     with contextlib.redirect_stdout(io.StringIO()) as text:
         assert run(["extract", stream, "--json"]) == 0
     assert text.getvalue() == out.read_text()
+
+
+def test_json_mirrors_carry_the_csv_values_as_numbers(tmp_path):
+    from streampcq.pointcloud import PointCloud, write_ply
+    rng = np.random.default_rng(5)
+    stream, cloud = tmp_path / "fix.bin", tmp_path / "c.ply"
+    features, training, scores = (tmp_path / f"{n}.csv" for n in ("f", "t", "s"))
+    run(["synth", "--pqs", 0.5, "--qp", 28, "--texture-bits", 8000, "--points", 1000,
+         "--out", stream])
+    assert run(["extract", stream, "--out", features]) == 0
+    write_ply(cloud, PointCloud(rng.integers(0, 8, (200, 3)).astype(np.int32),
+                                rng.integers(0, 256, (200, 3)).astype(np.uint8)))
+    write_training_csv(training, make_synthetic_records(
+        tc_values=[20.0, 50.0, 80.0, 110.0], noise_sigma=0.5, rng=rng))
+    x = np.linspace(10.0, 90.0, 30)
+    scores.write_text("objective,mos\n" + "".join(
+        f"{o!r},{m!r}\n" for o, m in zip(x.tolist(), (x + rng.normal(0, 5, 30)).tolist())))
+    residuals = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    for path, sigma in zip(residuals, (1.0, 3.0)):
+        path.write_text("residual\n" + "".join(f"{v!r}\n" for v in rng.normal(0, sigma, 40).tolist()))
+    commands = [["extract", stream], ["score", features], ["tc", cloud], ["eval", scores],
+                ["loocv", training], ["splits", training, "--n", 3, "--seed", 2,
+                                      "--train-contents", 2],
+                ["significance", *residuals]]
+    for argv in commands:
+        table, mirror = tmp_path / "table.csv", tmp_path / "mirror.json"
+        assert run(argv + ["--out", table]) == 0
+        assert run(argv + ["--json", "--out", mirror]) == 0
+        with open(table, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        records = json.loads(mirror.read_text())
+        assert rows and len(records) == len(rows), argv[0]
+        for record, row in zip(records, rows):
+            assert list(record) == header, argv[0]
+            for key, cell in zip(header, row):
+                value = record[key]
+                try:
+                    float(cell)
+                except ValueError:  # a name, a path or a bool
+                    assert isinstance(value, (str, bool)) and str(value) == cell, (argv[0], key)
+                    continue
+                assert type(value) in (int, float), (argv[0], key, value)
+                assert value == float(cell) and json.dumps(value) == cell, (argv[0], key)

@@ -3,7 +3,8 @@ no module builds numpy record arrays, and none reads the environment.
 Importing the CLI leaves scipy unloaded and numpy unexecuted: only `_lazy`
 imports numpy, and it runs at its first use, which `extract` and `synth`
 never reach.  No module imports `dataclasses`, and importing the CLI loads
-neither it nor `inspect`, `fractions` or `decimal`; nor does `extract`."""
+neither it nor `inspect`, `fractions` or `decimal`; nor does `extract`.
+The CLI calls no `repr`: `table` formats every result cell."""
 
 import ast
 import os
@@ -96,6 +97,14 @@ def importers(*modules) -> list:
 
 def test_only_the_table_module_imports_csv():
     assert importers("csv") == ["table.py"]
+
+
+def test_the_cli_calls_no_repr():
+    # `table.write_table` formats every result cell (a float by its shortest
+    # repr, in CSV and JSON alike); the CLI hands it numbers, not strings
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    assert [f"cli.py:{n.lineno}" for n in ast.walk(tree) if isinstance(n, ast.Call)
+            and isinstance(n.func, ast.Name) and n.func.id == "repr"] == []
 
 
 def test_no_module_imports_dataclasses():
