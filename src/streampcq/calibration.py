@@ -250,13 +250,19 @@ def stage_d_beta_pqs(pqs, beta, diagnostics: FitDiagnostics | None = None):
     return _fit_pooled("D", 1.0 / levels, np.array(means), diagnostics or FitDiagnostics())
 
 
-def train_full(records, variant: str = TRAINING_VARIANT):
-    """Run stages A through D; returns (ModelParams, FitDiagnostics)."""
+def train_full(records, variant: str = TRAINING_VARIANT, *, _groups=None):
+    """Run stages A through D; returns (ModelParams, FitDiagnostics).
+
+    Held-out folds pass `_groups`, stage A's fits of `records` taken from one
+    stage A over all folds (a group's fit depends on its own rows alone); stage
+    A then does not run, and the diagnostics hold no stage A entries.  With no
+    group in `_groups`, stage A runs and fails as it would alone.
+    """
     cols = record_columns(records)
     if len(np.unique(cols.pqs)) < 2 or len(np.unique(cols.qp)) < 2:
         raise DegenerateDesign("training data must span two pqs and two qp levels")
     diag = FitDiagnostics()
-    groups = stage_a_mos_vs_tqs(cols, diag)
+    groups = stage_a_mos_vs_tqs(cols, diag) if _groups is None or not len(_groups) else _groups
     a1, a2, a3, b1, b2 = stage_b_tc_model(cols, diag)
     # each content's tc is that of its first row: the columns are sorted by content
     c, d = stage_c_alpha_tc(cols.tc[np.searchsorted(cols.content, groups.content)],

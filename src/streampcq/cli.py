@@ -83,7 +83,11 @@ def cmd_score(args) -> int:
     params = _load_params(args.params, args.variant)
     rows, inputs, failures = [], [], []
     kinds = {"pqs": finite_float, "qp": int, "tbpp": finite_float}
-    for i, row in enumerate(read_table(args.features, kinds)):
+    table = read_table(args.features, kinds)
+    # a row is named by its last `stream` cell, or by its index if there is none
+    header = table[0].header if table else []
+    at = max((j for j, name in enumerate(header) if name == "stream"), default=None)
+    for i, row in enumerate(table):
         try:
             pqs, qp, tbpp = row.values
             check_pqs_qp(pqs, qp)
@@ -91,7 +95,7 @@ def cmd_score(args) -> int:
             failures.append((i, str(exc)))
             continue
         inputs.append((pqs, qp, tbpp))
-        rows.append((i, [dict(zip(row.header, row.texts)).get("stream", str(i)), pqs, qp, tbpp]))
+        rows.append((i, [str(i) if at is None else row.texts[at], pqs, qp, tbpp]))
     pqs, qp, tbpp = np.array(inputs, dtype=float).reshape(-1, 3).T
     with np.errstate(over="ignore", invalid="ignore"):  # inf and nan, as in scalar arithmetic
         pred = predict(params, SimpleNamespace(pqs=pqs, qp=qp, tbpp=tbpp))

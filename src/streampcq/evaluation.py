@@ -14,7 +14,7 @@ from ._lazy import np
 from ._record import Record, set_field
 
 from .errors import DegenerateDesign, InvalidInput, StreamPcqError, ZeroVariance
-from .calibration import TRAINING_VARIANT, record_columns, train_full
+from .calibration import TRAINING_VARIANT, record_columns, stage_a_mos_vs_tqs, train_full
 from .model import predict as model_predict
 
 __all__ = [
@@ -136,6 +136,8 @@ def rmse(x, y) -> float:
 _MAX_TRIALS = 100
 _GTOL = 1e-6
 _MAX_SPREAD = 1e7
+_TAIL_SPANS = 10.0  # |b3 - mean(s)| in score spans from which a start is on the tail path
+_TAIL_TRIALS, _TAIL_RTOL = 5, 1e-7
 _STARTS = 11  # the starts fit_logistic's docstring lists
 _BATCH_ELEMENTS = 2**15
 
@@ -169,15 +171,22 @@ def _search(s, y, b3, t, rss_floor):
     A panel's search ends when every start has converged or stalled (no
     damping of either step lowers its RSS); when its lowest-RSS start has
     converged and no other start's Gauss-Newton step, shrunk by its damping,
-    predicts an RSS more than 1e-6 below it; or after _MAX_TRIALS steps.  A
-    panel leaves the arrays after the trial on which it ends, so a slow panel
-    steps alone once the others are done.
+    predicts an RSS more than 1e-6 below it; when its lowest-RSS start is on
+    the exponential-tail path (b3 at least _TAIL_SPANS score spans from the
+    mean score) and its lowest RSS fell over the last _TAIL_TRIALS trials, but
+    by at most _TAIL_RTOL of itself (a run of rejected steps, after which a
+    slide may still cut the RSS, does not end it); or after _MAX_TRIALS
+    steps.  Whichever rule ends it, a panel reports whether its lowest-RSS
+    start has converged.  A panel leaves the arrays after the trial on which
+    it ends, so a slow panel steps alone once the others are done.
     """
     best_params, best_converged = np.empty((len(s), 4)), np.empty(len(s), dtype=bool)
     live = np.arange(len(s))
     s_mean, y_range = s.mean(axis=-1, keepdims=True), np.ptp(y, axis=-1, keepdims=True)
+    tail = _TAIL_SPANS * np.ptp(s, axis=-1)
     params, mapped, th, tc, tcc = _project(s, y, b3, t)
     rss, lams = np.square(y[:, None] - mapped).sum(axis=-1), np.full(t.shape + (2,), 1e-3)
+    lows = np.full((len(s), _TAIL_TRIALS), np.inf)  # lowest RSS of the last _TAIL_TRIALS trials
     for trial in range(_MAX_TRIALS + 1):
         # d(residual)/d(b3, t) less its part in span(1, tanh); jt2 is the t
         # column less its part along the b3 column
@@ -194,7 +203,11 @@ def _search(s, y, b3, t, rss_floor):
         best = np.arange(len(rss)), np.argmin(rss, axis=-1)
         hopeful = going & (rss - gain / (1.0 + lams.min(axis=-1))
                            < rss.min(axis=-1, keepdims=True) * (1.0 - 1e-6))
-        done = (~going.any(axis=-1) | (converged[best] & ~hopeful.any(axis=-1))
+        low, slot = rss[best], trial % _TAIL_TRIALS
+        fall = lows[:, slot] - low
+        settled = (np.abs(b3[best] - s_mean[:, 0]) >= tail) & (fall > 0.0) & (fall <= _TAIL_RTOL * low)
+        lows[:, slot] = low
+        done = (~going.any(axis=-1) | (converged[best] & ~hopeful.any(axis=-1)) | settled
                 | (trial == _MAX_TRIALS))
         best_params[live[done]] = params[best][done]
         best_converged[live[done]] = converged[best][done]
@@ -225,9 +238,9 @@ def _search(s, y, b3, t, rss_floor):
         lams[..., 1] = np.where(slide, lam, lams[..., 1])
         if done.any():
             keep = ~done
-            (live, s, y, s_mean, y_range, rss_floor, b3, t, rss, lams,
+            (live, s, y, s_mean, y_range, tail, rss_floor, b3, t, rss, lams, lows,
              params, mapped, th, tc, tcc) = (v[keep] for v in (
-                live, s, y, s_mean, y_range, rss_floor, b3, t, rss, lams,
+                live, s, y, s_mean, y_range, tail, rss_floor, b3, t, rss, lams, lows,
                 params, mapped, th, tc, tcc))
 
 
@@ -291,10 +304,18 @@ def evaluate(pairs: ScorePairSet) -> EvalReport:
 def _fold_pairs(cols, folds, variant):
     """Yield (key, ScorePairSet, or the error that failed it) for each (key,
     train mask) fold over the record columns `cols`: the records outside the
-    mask, scored in one call by the model trained on those inside."""
+    mask, scored in one call by the model trained on those inside.  Each mask
+    selects whole contents, so one stage A over `cols` serves every fold."""
+    try:
+        groups = stage_a_mos_vs_tqs(cols)
+    except DegenerateDesign:  # no group to share: each fold's own stage A fails
+        groups = None
+    else:
+        row = np.searchsorted(cols.content, groups.content)  # a row of each group's content
     for key, train in folds:
         try:
-            params, _diag = train_full(cols[train], variant=variant)
+            params, _diag = train_full(cols[train], variant=variant,
+                                       _groups=None if groups is None else groups[train[row]])
             test = cols[~train]
             pairs = ScorePairSet(model_predict(params, test).pmos, test.mos)
         except (StreamPcqError, ValueError) as exc:

@@ -385,6 +385,18 @@ def test_score_variant_and_clamp(tmp_path):
     assert float(read_csv(out)[0]["pmos"]) == 100.0
 
 
+@pytest.mark.parametrize("table, streams", [
+    ("pqs,qp,tbpp\n0.25,46,0.5\n0.5,40,1.0\n", ["0", "1"]),
+    ("stream,pqs,qp,stream,tbpp\na,0.25,46,b,0.5\nc,0.5,40,d,1.0\n", ["b", "d"]),
+    ("pqs,qp,tbpp,stream\n0.25,46,0.5\n0.5,40,1.0,s2\n", ["", "s2"]),
+], ids=["no-stream-column", "two-stream-columns", "short-row"])
+def test_score_names_a_row_by_its_last_stream_cell_or_its_index(tmp_path, table, streams):
+    feat, out = tmp_path / "features.csv", tmp_path / "scores.csv"
+    feat.write_text(table)
+    assert run(["score", feat, "--out", out]) == 0
+    assert [r["stream"] for r in read_csv(out)] == streams
+
+
 def test_score_malformed_row_skipped(tmp_path):
     feat = tmp_path / "features.csv"
     feat.write_text("stream,pqs,qp,tbpp\ns1,0.25,46,0.5\ns2,oops,46,0.5\n")

@@ -9,7 +9,7 @@ from scipy import stats as sps
 from conftest import make_synthetic_records
 from streampcq import evaluation
 from streampcq.calibration import record_columns, train_full
-from streampcq.errors import DegenerateDesign, InvalidInput, ZeroVariance
+from streampcq.errors import DegenerateDesign, InvalidInput, StreamPcqError, ZeroVariance
 from streampcq.evaluation import (
     ScorePairSet,
     average_ranks,
@@ -253,6 +253,7 @@ def predicted_reduction(params, s, y):
 @settings(max_examples=150, deadline=None)
 @given(panels)
 @example(make_panel("noisy", 5, 1, 0.3))  # J with cond 1e14: a float64 solve reads 2e-9
+@example(make_panel("near-linear", 5, 5, 3.0))  # the near-linear start, |b1 - b2| ~ 1e6 ranges
 def test_logistic_fit_reaches_the_grid_minimum(panel):
     s, y = panel
     fit = fit_logistic(s, y)
@@ -289,6 +290,98 @@ def test_logistic_unconverged_when_stalled(monkeypatch):
     fit = fit_logistic(s, y)
     assert not fit.converged
     assert fit.rss <= reference.rss * (1.0 + 1e-9)
+
+
+def held_out_panel(cols, train):
+    """The (objective, mos) panel of the held-out fold that trains on the
+    records of the mask `train`."""
+    params, _diag = train_full(cols[train])
+    test = cols[~train]
+    return predict(params, test).pmos, test.mos
+
+
+def split_panel(cols, seed, i):
+    """The panel of split `i` of random_split_eval(cols, seed=seed)."""
+    contents, rng = np.unique(cols.content), np.random.default_rng(seed)
+    for _ in range(i + 1):
+        train = np.isin(cols.content, contents[rng.choice(len(contents), size=10, replace=False)])
+    return held_out_panel(cols, train)
+
+
+def counted_fit(monkeypatch, s, y):
+    """fit_logistic(s, y) and its number of _project calls: one, then one per
+    trial the search does not end on."""
+    calls, project = [], evaluation._project
+    monkeypatch.setattr(evaluation, "_project", lambda *a: calls.append(1) or project(*a))
+    fit = fit_logistic(s, y)
+    monkeypatch.setattr(evaluation, "_project", project)
+    return fit, len(calls)
+
+
+def tail_records():
+    return make_synthetic_records(noise_sigma=2.0, rng=np.random.default_rng(2))
+
+
+# the folds of tail_records whose fit ends unconverged with b3 tens to
+# hundreds of score ranges out, on the exponential-tail path
+TAIL_FOLDS = ("content02", "content03", "content04", "content06", "content07",
+              "content12", "content14", "content17")
+
+
+@pytest.mark.parametrize("held", TAIL_FOLDS)
+def test_a_settled_tail_fit_ends_without_the_trial_cap(monkeypatch, held):
+    cols = record_columns(tail_records())
+    s, y = held_out_panel(cols, cols.content != held)
+    monkeypatch.setattr(evaluation, "_MAX_TRIALS", 10**5)
+    fit, calls = counted_fit(monkeypatch, s, y)
+    assert calls <= 60 and not fit.converged
+    assert abs(fit.params[2] - s.mean()) >= evaluation._TAIL_SPANS * np.ptp(s)
+    # without the end rule the search runs past the default cap of 100 trials
+    monkeypatch.setattr(evaluation, "_TAIL_SPANS", np.inf)
+    uncut, uncut_calls = counted_fit(monkeypatch, s, y)
+    assert uncut_calls > 101 and not uncut.converged
+    assert fit.rss <= uncut.rss * (1.0 + 1e-7)
+
+
+def test_a_run_of_rejected_steps_does_not_end_a_tail_fit(monkeypatch):
+    # split 134 of the sigma-5 records' seed-1 splits: its lowest-RSS start is
+    # on the tail path but rejects the steps of trials 4-8, and then a slide
+    # cuts its RSS by 8e-5 of itself
+    cols = record_columns(make_synthetic_records(noise_sigma=5.0, rng=np.random.default_rng(5)))
+    s, y = split_panel(cols, 1, 134)
+    fit = fit_logistic(s, y)
+    assert abs(fit.params[2] - s.mean()) >= evaluation._TAIL_SPANS * np.ptp(s)
+    monkeypatch.setattr(evaluation, "_TAIL_SPANS", np.inf)
+    uncut = fit_logistic(s, y)
+    assert not fit.converged and fit.rss <= uncut.rss * (1.0 + 1e-7)
+
+
+def test_the_end_rule_never_cuts_a_fit_at_the_data(monkeypatch):
+    cols = record_columns(tail_records())
+    panels = [held_out_panel(cols, cols.content != held)
+              for held in np.unique(cols.content).tolist() if held not in TAIL_FOLDS]
+    panels += [noisy_panel()] + [make_panel(shape, 60, seed, 3.0)
+                                 for shape in ("increasing", "decreasing", "step-like")
+                                 for seed in range(5)]
+
+    def fits(**patches):
+        for name, value in patches.items():
+            monkeypatch.setattr(evaluation, name, value)
+        return [counted_fit(monkeypatch, s, y) for s, y in panels]
+
+    def bits(fit, calls):
+        return fit.params, fit.mapped.tobytes(), fit.rss, fit.converged, calls
+
+    uncut = fits(_TAIL_SPANS=np.inf)
+    panels = [p for p, (f, _) in zip(panels, uncut) if abs(f.params[2] - p[0].mean()) < np.ptp(p[0])]
+    assert len(panels) >= 20
+    monkeypatch.undo()
+    assert [bits(*r) for r in fits()] == [bits(*r) for r in fits(_TAIL_SPANS=np.inf)]
+    # with no tolerance only a stall ends a search, long after its RSS settles
+    monkeypatch.undo()
+    stalled = fits(_GTOL=0.0, _MAX_TRIALS=10**5)
+    assert [bits(*r) for r in stalled] == [bits(*r) for r in fits(_TAIL_SPANS=np.inf)]
+    assert all(not f.converged for f, _ in stalled) and max(c for _, c in stalled) > 60
 
 
 @st.composite
@@ -482,6 +575,72 @@ def test_loocv_on_ragged_contents_equals_per_fold_evaluate():
     for k, column in zip(("plcc", "srcc", "rmse"),
                          zip(*[(w.plcc, w.srcc, w.rmse) for w in want.values()])):
         assert summary["mean"][k] == np.mean(column)
+
+
+def params_bits(params):
+    return np.array(list(params.to_dict().values())[:-1], dtype=float).tobytes(), params.variant
+
+
+def trained_folds(monkeypatch, run):
+    """(train columns, ModelParams) of each fold that trains while `run()` runs."""
+    seen, train = [], evaluation.train_full
+
+    def spy(cols, **kwargs):
+        params, diag = train(cols, **kwargs)
+        seen.append((cols, params))
+        return params, diag
+
+    monkeypatch.setattr(evaluation, "train_full", spy)
+    run()
+    monkeypatch.setattr(evaluation, "train_full", train)
+    return seen
+
+
+@pytest.mark.parametrize("records, skipped", [
+    (tail_records(), []),
+    # (content03, 0.5) keeps one row: stage A skips it
+    ([r for r in tail_records()
+      if not (r.content == "content03" and r.pqs == 0.5 and r.qp != 22)],
+     [("A", ("content03", 0.5), "need at least two points")]),
+], ids=["noisy", "skipped-group"])
+def test_folds_share_one_stage_a_bit_for_bit(monkeypatch, records, skipped):
+    cols = record_columns(records)
+    assert [g for g in train_full(cols)[1].skipped_groups if g[0] == "A"] == skipped
+    folds = trained_folds(monkeypatch, lambda: (loocv(cols),
+                                                random_split_eval(cols, n_splits=50, seed=3)))
+    assert len(folds) == 70
+    for train, params in folds:
+        assert params_bits(params) == params_bits(train_full(train)[0])
+
+
+def reference_fold(cols, train):
+    """What _fold_pairs yields for one fold, from train_full on the fold alone."""
+    try:
+        return ScorePairSet(*held_out_panel(cols, train))
+    except (StreamPcqError, ValueError) as exc:
+        return exc
+
+
+def fold_bits(fold):
+    if isinstance(fold, Exception):
+        return type(fold), str(fold)
+    return fold.objective.tobytes(), fold.mos.tobytes()
+
+
+@pytest.mark.parametrize("fitted", [True, False], ids=["one-content-fits", "none-fits"])
+def test_a_fold_with_no_group_to_fit_fails_as_alone(fitted):
+    # content01..03 keep one qp each, so each of their (content, pqs) groups
+    # has one row; content00 keeps its grid if `fitted`, and one qp if not
+    one_qp = {"content00": None if fitted else 22, "content01": 22, "content02": 28,
+              "content03": 34}
+    cols = record_columns([r for r in make_synthetic_records(tc_values=[10.0, 30.0, 50.0, 70.0])
+                           if one_qp[r.content] in (None, r.qp)])
+    masks = [(held, cols.content != held) for held in np.unique(cols.content).tolist()]
+    got = dict(evaluation._fold_pairs(cols, masks, "alpha-times-tqs"))
+    want = {held: reference_fold(cols, train) for held, train in masks}
+    assert {k: fold_bits(v) for k, v in got.items()} == {k: fold_bits(v) for k, v in want.items()}
+    none_fitted = (DegenerateDesign, "no (content, pqs) group could be fitted")
+    assert fold_bits(got["content00"] if fitted else got["content01"]) == none_fitted
 
 
 def test_random_splits_across_two_batches_equal_per_split_evaluate():
