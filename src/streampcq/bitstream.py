@@ -433,7 +433,7 @@ class BitstreamFeatures(Record):
         set_field(self, "texture_bits", texture_bits)
         set_field(self, "point_count", point_count)
         set_field(self, "tbpp", tbpp)
-        # slice-header | sidecar | decoded-cloud
+        # slice-header | sidecar
         set_field(self, "point_count_source", point_count_source)
 
     def validate(self):
@@ -498,7 +498,6 @@ def extract_features(
     data,
     schema: SyntaxSchema | None = None,
     sidecar: dict | None = None,
-    decoded_point_count: int | None = None,
     trace: list | None = None,
 ) -> BitstreamFeatures:
     """Pull (PQS, QP, texture bits, point count, TBPP) out of a bitstream:
@@ -516,16 +515,13 @@ def extract_features(
     units, body_bytes = _scan(data, schema, heads)
     attr_bytes = body_bytes.get(code_of.get("attribute_data"))
 
-    def resolve(name, in_stream, whole, decoded=None):
+    def resolve(name, in_stream, whole):
         """(value, source): the stream's value unless None, else the sidecar's
-        (a finite number, or a whole count when `whole`), else `decoded`,
-        else MissingField(name)."""
+        (a finite number, or a whole count when `whole`), else MissingField(name)."""
         if in_stream is not None:
             return in_stream, "slice-header"
         if name in sidecar:
             return _sidecar_value(name, sidecar[name], whole), "sidecar"
-        if decoded is not None:
-            return int(decoded), "decoded-cloud"
         raise MissingField(name)
 
     def header_values(feature: str):
@@ -547,8 +543,7 @@ def extract_features(
     texture_bits, _ = resolve("texture_bits", None if attr_bytes is None else 8 * attr_bytes,
                               whole=True)
     slices = list(header_values("point_count"))  # one count per slice
-    pc, source = resolve("point_count", sum(slices) if slices else None, whole=True,
-                         decoded=decoded_point_count)
+    pc, source = resolve("point_count", sum(slices) if slices else None, whole=True)
     features = BitstreamFeatures.from_counts(pqs, qp, texture_bits, pc, source)
     features.validate()
     return features

@@ -408,9 +408,10 @@ def random_split_eval(records, n_splits: int = 1000, n_train: int = 10,
     if len(contents) < 2:
         raise DegenerateDesign("need at least two contents to split")
     n_train = min(n_train, len(contents) - 1)
-    rng = np.random.default_rng(seed)
-    masks = ((i, np.isin(cols.content, contents[rng.choice(len(contents), size=n_train,
-                                                           replace=False)]))
+    from ._pcg64 import Pcg64  # loaded here: numpy.random costs 6 MB for these draws
+
+    rng = Pcg64(seed)  # the subsets of np.random.default_rng(seed).choice
+    masks = ((i, np.isin(cols.content, contents[rng.choice(len(contents), n_train)]))
              for i in range(n_splits))
     results, unconverged = [None] * n_splits, 0
     for i, rep in _evaluate_each(_fold_pairs(cols, masks, variant)):

@@ -254,15 +254,6 @@ def test_sidecar_point_count():
     assert got.point_count_source == "sidecar"
 
 
-def test_decoded_cloud_fallback():
-    data = bs.synthesize_bitstream(feats(1.0, 22, 800, 100), SCHEMA)
-    units = [u for u in bs.read_tlv_units(data, SCHEMA)
-             if u.unit_type != SCHEMA.unit_codes["geometry_data"]]
-    got = bs.extract_features(bs.write_tlv_units(units, SCHEMA), SCHEMA,
-                              decoded_point_count=42)
-    assert got.point_count_source == "decoded-cloud"
-
-
 @pytest.mark.parametrize("dropped, name, sidecar_value", [
     ("sequence_params", "pqs", 0.5),
     ("attribute_params", "qp", 40),
@@ -760,8 +751,7 @@ def test_longest_ue_decodes_the_same_from_a_path(stream_file):
     ]
     assert len(header("geometry_data", slice_id=longest, slice_point_count=longest)) == 17
     trace = []
-    got = extract_both_ways(bs.write_tlv_units(units, SCHEMA), stream_file, SCHEMA, None, None,
-                            trace)
+    got = extract_both_ways(bs.write_tlv_units(units, SCHEMA), stream_file, SCHEMA, None, trace)
     assert got == feats(longest / 8, 34, 800, longest)
     assert ("geometry_data", 130, 8 * (17 + 64)) in trace
     # one more leading zero is rejected the same way through both forms

@@ -4,13 +4,21 @@ Importing the CLI leaves scipy unloaded and numpy unexecuted: only `_lazy`
 imports numpy, and it runs at its first use, which `extract` and `synth`
 never reach.  No module imports `dataclasses`, and importing the CLI loads
 neither it nor `inspect`, `fractions` or `decimal`; nor does `extract`.
-The CLI calls no `repr`: `table` formats every result cell."""
+The CLI calls no `repr`: `table` formats every result cell.  No module
+loads numpy.random: `_pcg64` draws the seeded splits, and the tests keep
+numpy.random as its oracle."""
 
 import ast
+import csv
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy
+import pytest
+
+from conftest import make_synthetic_records
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "streampcq"
 
@@ -238,3 +246,44 @@ from streampcq import model
 print(numpy.arange(4).sum(), {EXECUTED}, model.np is numpy)
 """
     assert fresh(after) == ["6 True True"]
+
+
+def numpy_random_uses(path: Path) -> list:
+    """Where `path` names numpy.random: `np.random`/`numpy.random`, an import
+    of it or of a name from it, or the string "numpy.random"."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [f"{path.name}:{n.lineno}" for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and n.attr == "random"
+            and isinstance(n.value, ast.Name) and n.value.id in ("np", "numpy")
+            or isinstance(n, ast.Import) and any(a.name.startswith("numpy.random")
+                                                 for a in n.names)
+            or isinstance(n, ast.ImportFrom) and (
+                (n.module or "").startswith("numpy.random")
+                or n.module == "numpy" and any(a.name == "random" for a in n.names))
+            or isinstance(n, ast.Constant) and n.value == "numpy.random"]
+
+
+def test_no_module_uses_numpy_random():
+    # its import costs 6 MB of RSS (OpenSSL through secrets and hashlib);
+    # `_pcg64` draws numpy's subsets without it
+    assert [u for p in sorted(PACKAGE.glob("*.py")) for u in numpy_random_uses(p)] == []
+
+
+@pytest.mark.skipif(int(numpy.__version__.split(".")[0]) < 2,
+                    reason="numpy 1.x imports numpy.random in its own __init__")
+def test_splits_leave_numpy_random_unloaded(tmp_path):
+    training, out = tmp_path / "training.csv", tmp_path / "splits.csv"
+    with open(training, "w", newline="") as fh:
+        rows = csv.writer(fh)
+        rows.writerow(["content", "pqs", "qp", "tbpp", "tc", "mos"])
+        for r in make_synthetic_records(tc_values=[20.0, 50.0, 80.0, 110.0]):
+            rows.writerow([r.content, r.pqs, r.qp, r.tbpp, r.tc, r.mos])
+    probe = """
+import sys
+from streampcq import cli
+code = cli.main(["splits", sys.argv[1], "--n", "2", "--seed", "1", "--train-contents", "2",
+                 "--out", sys.argv[2]])
+print(code, 'numpy.random' in sys.modules)
+"""
+    assert fresh(probe, training, out) == ["0 False"]
+    assert len(out.read_text().splitlines()) == 3
