@@ -60,4 +60,3 @@ def test_a_seed_is_an_integer():
     assert draws(np.int64(5), [(20, 10)]) == numpy_draws(5, [(20, 10)])
     with pytest.raises(TypeError):
         Pcg64(1.5)
-
